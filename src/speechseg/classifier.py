@@ -31,6 +31,8 @@ from .metrics import roc_curve, tpr_at_fpr
 SPEECH, NOISE = "speech", "noise"
 
 MODEL_FORMAT_VERSION = 1
+# keys a model file must carry; the training provenance keys are optional
+MODEL_KEYS = ("w", "b", "calib_A", "calib_B", "decision_threshold")
 
 
 @dataclass(frozen=True)
@@ -431,18 +433,26 @@ def load_model(path: str | Path) -> CalibratedLinearModel:
         raise IoFailure(str(e)) from e
     except json.JSONDecodeError as e:
         raise InvalidConfig(f"{path}: not a model file ({e})") from e
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{path}: not a model file (not a JSON object)")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise InvalidConfig(
             f"{path}: unsupported model format version "
             f"{doc.get('format_version')!r}"
         )
-    return CalibratedLinearModel(
-        np.asarray(doc["w"], dtype=np.float64),
-        float(doc["b"]),
-        float(doc["calib_A"]),
-        float(doc["calib_B"]),
-        float(doc["decision_threshold"]),
-        float(doc.get("train_C", 1.0)),
-        int(doc.get("train_folds", 3)),
-        int(doc.get("train_seed", 0)),
-    )
+    for key in MODEL_KEYS:
+        if key not in doc:
+            raise InvalidConfig(f"{path}: model file lacks key {key!r}")
+    try:
+        return CalibratedLinearModel(
+            np.asarray(doc["w"], dtype=np.float64),
+            float(doc["b"]),
+            float(doc["calib_A"]),
+            float(doc["calib_B"]),
+            float(doc["decision_threshold"]),
+            float(doc.get("train_C", 1.0)),
+            int(doc.get("train_folds", 3)),
+            int(doc.get("train_seed", 0)),
+        )
+    except (TypeError, ValueError) as e:
+        raise InvalidConfig(f"{path}: malformed model value ({e})") from e

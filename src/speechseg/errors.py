@@ -97,6 +97,11 @@ class SegmentOutOfBounds(SpeechSegError):
     """Segment extends outside the stream interval."""
 
 
+class InvalidSegment(SpeechSegError):
+    """Segment or segment-file line with non-finite, unparsable or
+    out-of-order bounds, or the wrong number of fields."""
+
+
 # -- metrics ------------------------------------------------------------------
 
 class DegenerateLabels(SpeechSegError):

@@ -24,7 +24,7 @@ from .errors import (
     SegmentOutOfBounds,
     ZeroTotal,
 )
-from .segments import Segment
+from .segments import Segment, parse_segment
 
 CONDITIONS = (
     "clean_speech",
@@ -312,5 +312,5 @@ def read_condition_labels(path: str | Path) -> list[Segment]:
             raise InvalidConfig(f"{path}:{lineno}: expected 3 fields")
         if parts[2] not in CONDITIONS:
             raise InvalidConfig(f"{path}:{lineno}: bad condition {parts[2]!r}")
-        out.append(Segment(float(parts[0]), float(parts[1]), parts[2]))
+        out.append(parse_segment(parts, path, lineno))
     return sorted(out, key=lambda s: (s.start_s, s.end_s))

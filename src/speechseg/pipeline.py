@@ -181,21 +181,6 @@ def cluster_ahc(
     return ClusteredSequence(entries)
 
 
-def filter_xvectors(
-    vectors: list[XVector],
-    model: CalibratedLinearModel,
-    p_threshold: float,
-) -> tuple[list[XVector], list[XVector]]:
-    """Split into (kept, dropped) by speech probability >= threshold."""
-    kept, dropped = [], []
-    for v in vectors:
-        if model.probability(v.values) >= p_threshold:
-            kept.append(v)
-        else:
-            dropped.append(v)
-    return kept, dropped
-
-
 def filter_segments(
     clustered: ClusteredSequence,
     segments: list[Segment],

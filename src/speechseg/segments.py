@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import UnsortedInput
+from .errors import InvalidSegment, UnsortedInput
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,9 @@ class Segment:
 
     def __post_init__(self):
         if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
-            raise ValueError("segment bounds must be finite")
+            raise InvalidSegment("segment bounds must be finite")
         if self.end_s <= self.start_s:
-            raise ValueError(
+            raise InvalidSegment(
                 f"segment end {self.end_s} must exceed start {self.start_s}"
             )
 
@@ -69,9 +69,28 @@ def read_tsv(path: str | Path) -> list[Segment]:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            segments.append(Segment(float(parts[0]), float(parts[1]), parts[2]))
+                raise InvalidSegment(
+                    f"{path}:{lineno}: expected 3 tab-separated fields"
+                )
+            segments.append(parse_segment(parts, path, lineno))
     return segments
+
+
+def parse_segment(
+    fields: list[str], path: str | Path, lineno: int
+) -> Segment:
+    """Segment from a line's start, end and label fields; errors name the
+    file and the line."""
+    try:
+        start, end = float(fields[0]), float(fields[1])
+    except ValueError:
+        raise InvalidSegment(
+            f"{path}:{lineno}: unparsable time in {fields[:2]!r}"
+        ) from None
+    try:
+        return Segment(start, end, fields[2])
+    except InvalidSegment as e:
+        raise InvalidSegment(f"{path}:{lineno}: {e}") from None
 
 
 def write_rttm(segments: list[Segment], file_id: str, path: str | Path) -> None:

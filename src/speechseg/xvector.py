@@ -12,6 +12,17 @@ Frame layers use valid convolution: each layer shrinks the frame axis by
 are padded by edge-frame replication, with the extra copy on the leading
 edge when the padding is odd.
 
+Because the frame layers are a convolution, sliding-window extraction runs
+them once per block of consecutive windows, not once per window: the
+windows overlap (by half at the default stride), so a per-window pass
+would push most frames through them twice. Each window then stats-pools
+its own rows of the block output and applies the first segment affine.
+A block spans at most BLOCK_FRAMES frames, which keeps peak memory flat
+however long the stream is. The embeddings are byte-identical to a
+per-window pass (tests/test_xvector.py checks every window bit for bit):
+each output row goes through the same float64 operations in the same
+order, whichever block it sits in.
+
 Weights live as float32; arithmetic runs in float64.
 """
 from __future__ import annotations
@@ -37,6 +48,10 @@ from .frontend import FeatureMatrix
 
 EMBEDDING_DIM = 512
 BN_EPSILON = 1e-5
+# longest frame span of one block of windows in extract_sequence; bounds
+# the block's float64 intermediates (about 18 MB per layer for the
+# standard net), so peak memory does not grow with the stream
+BLOCK_FRAMES = 1500
 
 WEIGHTS_MAGIC = b"XVNW"
 WEIGHTS_VERSION = 1
@@ -222,6 +237,28 @@ def _pad_to(x: np.ndarray, need: int) -> np.ndarray:
     return np.pad(x, ((left, missing - left), (0, 0)), mode="edge")
 
 
+def _frame_layers(net: XVectorNet, x: np.ndarray) -> np.ndarray:
+    """Frame-layer outputs for float64 rows x (at least min_frames of them).
+
+    Row t of the output depends only on input rows t .. t + total_context.
+    Each layer's weights are converted to float64 once per call, and the
+    elementwise steps run in place on the layer output.
+    """
+    for layer in net.frame_layers:
+        lo = min(layer.offsets)
+        t_out = x.shape[0] - layer.span
+        stacked = np.concatenate(
+            [x[off - lo : off - lo + t_out] for off in layer.offsets], axis=1
+        )
+        x = stacked @ layer.weight.T.astype(np.float64)
+        del stacked  # not alive while the next layer stacks its input
+        x += layer.bias
+        np.maximum(x, 0.0, out=x)
+        x -= layer.bn_mean
+        x /= np.sqrt(layer.bn_var.astype(np.float64) + BN_EPSILON)
+    return x
+
+
 def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
     """Embedding for one window of feature frames (T x input_dim)."""
     x = np.asarray(frames, dtype=np.float64)
@@ -231,21 +268,7 @@ def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
         raise DimMismatch(
             f"net expects {net.input_dim}-dim frames, got {x.shape[1]}"
         )
-    x = _pad_to(x, net.min_frames)
-
-    for layer in net.frame_layers:
-        lo = min(layer.offsets)
-        t_out = x.shape[0] - layer.span
-        stacked = np.concatenate(
-            [x[off - lo : off - lo + t_out] for off in layer.offsets], axis=1
-        )
-        a = stacked @ layer.weight.T.astype(np.float64) + layer.bias
-        a = np.maximum(a, 0.0)
-        x = (a - layer.bn_mean) / np.sqrt(
-            layer.bn_var.astype(np.float64) + BN_EPSILON
-        )
-
-    pooled = stats_pool(x)
+    pooled = stats_pool(_frame_layers(net, _pad_to(x, net.min_frames)))
     tap = net.segment_layers[0]
     return pooled @ tap.weight.T.astype(np.float64) + tap.bias
 
@@ -261,12 +284,22 @@ def extract_sequence(
     stream. Full windows are emitted while they fit; if audio remains past
     the last full window and the tail is at least min_window_s long, one
     final window clamped to the stream end is emitted as well.
+
+    Consecutive windows are grouped into blocks spanning at most
+    BLOCK_FRAMES frames (one longer window is a block of its own); the
+    frame layers run once per block and each window pools its own rows of
+    the result. Windows shorter than the receptive field go through
+    forward_window's padded path.
     """
     total_s = feats.span_s
     if total_s < cfg.min_window_s:
         raise StreamTooShort(
             f"stream of {total_s:.3f}s is shorter than the "
             f"{cfg.min_window_s}s minimum window"
+        )
+    if feats.dim != net.input_dim:
+        raise DimMismatch(
+            f"net expects {net.input_dim}-dim frames, got {feats.dim}"
         )
 
     spans = []
@@ -281,14 +314,35 @@ def extract_sequence(
         spans.append((tail_start, total_s))
 
     shift = feats.frame_shift_s
-    out = []
-    for start, end in spans:
-        a = round(start / shift)
-        b = min(round(end / shift), feats.num_frames)
-        values = forward_window(net, feats.rows[a:b])
-        t0 = feats.start_time_s
-        out.append(XVector(values, t0 + start, t0 + end))
-    return out
+    rows = [
+        (round(start / shift), min(round(end / shift), feats.num_frames))
+        for start, end in spans
+    ]
+    full = [b - a >= net.min_frames for a, b in rows]
+    tap = net.segment_layers[0]
+    values = []
+    i = 0
+    while i < len(rows):
+        a0 = rows[i][0]
+        if not full[i]:
+            values.append(forward_window(net, feats.rows[a0 : rows[i][1]]))
+            i += 1
+            continue
+        j = i + 1
+        while j < len(rows) and full[j] and rows[j][1] - a0 <= BLOCK_FRAMES:
+            j += 1
+        y = _frame_layers(net, feats.rows[a0 : rows[j - 1][1]])
+        tap_weight = tap.weight.T.astype(np.float64)
+        for a, b in rows[i:j]:
+            pooled = stats_pool(y[a - a0 : b - a0 - net.total_context])
+            values.append(pooled @ tap_weight + tap.bias)
+        del y, tap_weight  # not alive during the next block's pass
+        i = j
+
+    t0 = feats.start_time_s
+    return [
+        XVector(v, t0 + start, t0 + end) for v, (start, end) in zip(values, spans)
+    ]
 
 
 # -----------------------------------------------------------------------------

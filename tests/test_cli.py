@@ -408,6 +408,20 @@ class TestSegmentCommand:
         assert code == 2
         assert "--model" in err
 
+    def test_model_missing_key_is_domain_error(self, work, tmp_path,
+                                               capsys):
+        doc = json.loads((work / "model.json").read_text(encoding="utf-8"))
+        del doc["w"]
+        bad = tmp_path / "no_w.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["segment", "--strategy", "xvector_filt",
+                    "--audio", str(work / "mix.wav"),
+                    "--net", str(work / "net.xvnw"), "--model", str(bad),
+                    "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidConfig" in err and "'w'" in err
+
     def test_manifest_batch_with_jobs(self, work, tmp_path, run_json):
         man = tmp_path / "two.tsv"
         man.write_text(
@@ -437,6 +451,35 @@ class TestEvalCommands:
         assert doc["fpr"] == 0.0
         assert doc["tpr_noise"] is None
         assert doc["frames_by_condition"]["clean_speech"] == 400
+
+    def test_eval_vad_reversed_segment_is_domain_error(self, tmp_path):
+        hyp = tmp_path / "bad.seg.tsv"
+        cond = tmp_path / "c.tsv"
+        hyp.write_text("0.0\t1.0\tspeech\n2.0\t1.0\tspeech\n",
+                       encoding="utf-8")
+        cond.write_text("0.0\t3.0\tclean_speech\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "speechseg.cli", "eval-vad",
+             "--hyp", str(hyp), "--conditions", str(cond),
+             "--duration", "3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "InvalidSegment" in proc.stderr
+        assert f"{hyp}:2:" in proc.stderr
+
+    def test_eval_vad_unparsable_time_names_line(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.tsv"
+        cond = tmp_path / "c.tsv"
+        hyp.write_text("0.0\t1.0\tspeech\n", encoding="utf-8")
+        cond.write_text("0.0\t1.5\tclean_speech\n1.5\tthree\tno_speech\n",
+                        encoding="utf-8")
+        code = run(["eval-vad", "--hyp", str(hyp), "--conditions", str(cond),
+                    "--duration", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidSegment" in err and f"{cond}:2:" in err
 
     def test_eval_wer_identical_is_zero(self, tmp_path, run_json):
         ref = tmp_path / "ref.txt"

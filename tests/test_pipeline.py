@@ -1,15 +1,10 @@
 """Clustering, probability filtering, and the three segmentation strategies."""
-import math
 import re
 
 import numpy as np
 import pytest
 
-from speechseg.classifier import (
-    CalibratedLinearModel,
-    TrainConfig,
-    platt_calibrate,
-)
+from speechseg.classifier import TrainConfig, platt_calibrate
 from speechseg.errors import EmptyInput, InvalidConfig
 from speechseg.frontend import write_wav
 from speechseg.metrics import condition_frames, frame_vad_eval, rasterize
@@ -20,7 +15,6 @@ from speechseg.pipeline import (
     PipelineConfig,
     cluster_ahc,
     filter_segments,
-    filter_xvectors,
     run_pipeline,
     write_decision_log,
 )
@@ -48,10 +42,6 @@ def basis(i, scale=1.0):
     v = np.zeros(DIM)
     v[i] = scale
     return v
-
-
-def same_objects(got, want):
-    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 @pytest.fixture(scope="module")
@@ -147,51 +137,6 @@ class TestClusteredSequence:
         )
         assert seq.cluster_ids == [0, 1]
         assert len(seq) == 2
-
-
-def logit_model(scale=5.0):
-    # calibration (A, B) = (-1, 0) turns the raw score into sigmoid(score),
-    # so a clip [t, 1-t, 0, ...] (already unit L1 mass) has probability
-    # sigmoid(scale * (2t - 1)) exactly
-    w = np.zeros(DIM)
-    w[0], w[1] = scale, -scale
-    return CalibratedLinearModel(w, 0.0, -1.0, 0.0)
-
-
-def prob_vector(p, scale=5.0):
-    t = (math.log(p / (1.0 - p)) / scale + 1.0) / 2.0
-    v = np.zeros(DIM)
-    v[0], v[1] = t, 1.0 - t
-    return xv(v)
-
-
-class TestFilterXvectors:
-    def test_known_probabilities_threshold_half(self):
-        model = logit_model()
-        vecs = [prob_vector(p) for p in (0.2, 0.6, 0.9)]
-        for v, want in zip(vecs, (0.2, 0.6, 0.9)):
-            assert model.probability(v.values) == pytest.approx(want, abs=1e-5)
-        kept, dropped = filter_xvectors(vecs, model, 0.5)
-        assert same_objects(kept, [vecs[1], vecs[2]])
-        assert same_objects(dropped, [vecs[0]])
-
-    def test_threshold_zero_keeps_all(self):
-        vecs = [prob_vector(p) for p in (0.2, 0.6, 0.9)]
-        kept, dropped = filter_xvectors(vecs, logit_model(), 0.0)
-        assert same_objects(kept, vecs)
-        assert dropped == []
-
-    def test_threshold_one_drops_everything_below_one(self):
-        vecs = [prob_vector(p) for p in (0.2, 0.6, 0.9)]
-        kept, dropped = filter_xvectors(vecs, logit_model(), 1.0)
-        assert kept == []
-        assert same_objects(dropped, vecs)
-
-    def test_order_preserved(self):
-        vecs = [prob_vector(p) for p in (0.9, 0.2, 0.8, 0.1, 0.7)]
-        kept, dropped = filter_xvectors(vecs, logit_model(), 0.5)
-        assert same_objects(kept, [vecs[0], vecs[2], vecs[4]])
-        assert same_objects(dropped, [vecs[1], vecs[3]])
 
 
 def clustered_at(centers_probs):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechseg import xvector
 from speechseg.errors import (
     BadMagic,
     CorruptArchive,
@@ -18,6 +19,7 @@ from speechseg.errors import (
 )
 from speechseg.frontend import FeatureMatrix
 from speechseg.xvector import (
+    BLOCK_FRAMES,
     AffineLayer,
     ExtractionConfig,
     StatsPool,
@@ -267,6 +269,13 @@ def feats_of(duration_s, shift=0.01, dim=30, seed=0):
     return FeatureMatrix(rows, shift)
 
 
+def window_rows(feats, vec):
+    """Feature rows [a, b) that extract_sequence gives one window."""
+    a = round(vec.window_start_s / feats.frame_shift_s)
+    b = round(vec.window_end_s / feats.frame_shift_s)
+    return a, min(b, feats.num_frames)
+
+
 class TestExtraction:
     def test_three_second_stream(self):
         vecs = extract_sequence(make_test_net(preset="small"), feats_of(3.0))
@@ -289,25 +298,62 @@ class TestExtraction:
             extract_sequence(make_test_net(preset="small"), feats_of(0.4))
 
     def test_values_match_forward_of_slice(self):
+        # 2 s: one block; 40.3 s: three blocks, windows straddling block
+        # boundaries and a clamped tail; 0.1 s windows are shorter than the
+        # receptive field, so each takes the padded path
         net = make_test_net(preset="small")
-        feats = feats_of(2.0)
-        vecs = extract_sequence(net, feats)
-        want = forward_window(net, feats.rows[75 : 75 + 150])
-        np.testing.assert_array_equal(
-            vecs[1].values, want.astype(np.float32)
-        )
+        short = ExtractionConfig(window_s=0.1, stride_s=0.05, min_window_s=0.05)
+        for duration, cfg in ((2.0, ExtractionConfig()),
+                              (40.3, ExtractionConfig()), (3.0, short)):
+            feats = feats_of(duration)
+            vecs = extract_sequence(net, feats, cfg)
+            rows = [window_rows(feats, v) for v in vecs]
+            for v, (a, b) in zip(vecs, rows):
+                want = forward_window(net, feats.rows[a:b]).astype(np.float32)
+                assert v.values.tobytes() == want.tobytes()
+
+            straddling = next(
+                (k for k, (_, b) in enumerate(rows) if b > BLOCK_FRAMES), 0
+            )
+            for k in sorted({0, straddling, len(vecs) - 1}):
+                a, b = rows[k]
+                want = ref_forward_xvector(net_to_plain(net), feats.rows[a:b])
+                np.testing.assert_allclose(
+                    vecs[k].values, want, rtol=1e-5, atol=1e-8
+                )
+
+    def test_blocks_bound_the_frame_layer_input(self, monkeypatch):
+        # peak memory stays flat only while no frame-layer pass exceeds
+        # BLOCK_FRAMES rows, however long the stream
+        passes = []
+        frame_layers = xvector._frame_layers
+
+        def record(net, x):
+            passes.append(len(x))
+            return frame_layers(net, x)
+
+        monkeypatch.setattr(xvector, "_frame_layers", record)
+        feats = feats_of(40.3)
+        vecs = extract_sequence(make_test_net(preset="small"), feats)
+        rows = [window_rows(feats, v) for v in vecs]
+        assert feats.num_frames > 2 * BLOCK_FRAMES
+        assert rows[-1] == (3900, 4030)  # clamped tail
+        assert any(a < BLOCK_FRAMES < b for a, b in rows)
+        assert len(passes) == 3 and max(passes) <= BLOCK_FRAMES
 
     @given(
-        duration=st.floats(0.5, 12.0),
-        window=st.sampled_from([1.0, 1.5, 2.0]),
-        stride=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        duration=st.floats(0.5, 40.0),
+        window=st.sampled_from([0.1, 1.0, 1.5, 2.0]),
+        stride=st.sampled_from([0.05, 0.25, 0.5, 0.75, 1.0]),
     )
     @settings(max_examples=25, deadline=None)
     def test_matches_hand_enumeration(self, duration, window, stride):
         if stride > window:
             return
         feats = feats_of(round(duration, 2))
-        cfg = ExtractionConfig(window_s=window, stride_s=stride)
+        min_window = min(0.5, window / 2)
+        cfg = ExtractionConfig(window_s=window, stride_s=stride,
+                               min_window_s=min_window)
         net = make_test_net(preset="small")
         try:
             vecs = extract_sequence(net, feats, cfg)
@@ -315,11 +361,15 @@ class TestExtraction:
             assert feats.span_s < cfg.min_window_s
             return
         got = [(v.window_start_s, v.window_end_s) for v in vecs]
-        want = ref_window_spans(feats.span_s, window, stride)
+        want = ref_window_spans(feats.span_s, window, stride, min_window)
         assert got == pytest.approx(want)
         starts = [s for s, _ in got]
         for a, b in zip(starts, starts[1:]):
             assert b - a == pytest.approx(stride)
+        for v in vecs:
+            a, b = window_rows(feats, v)
+            want = forward_window(net, feats.rows[a:b]).astype(np.float32)
+            assert v.values.tobytes() == want.tobytes()
 
     def test_bad_config(self):
         with pytest.raises(InvalidConfig):
