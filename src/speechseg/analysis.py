@@ -8,6 +8,7 @@ there is no approximate (Barnes-Hut) path.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteInput,
     PerplexityTooLarge,
+    read_text,
 )
 
 # Early exaggeration and the momentum switch both end at this iteration.
@@ -226,8 +228,8 @@ def write_projection_csv(
 
 
 def read_projection_csv(path: str | Path):
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
+    text = read_text(path, newline="")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or rows[0] != ["x", "y", "label", "source-id"]:
         raise InvalidConfig(f"{path}: missing projection header")
     coords = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])

@@ -25,6 +25,7 @@ from .errors import (
     NonConvergence,
     NonFiniteInput,
     SingleClassData,
+    read_text,
 )
 from .metrics import roc_curve, tpr_at_fpr
 
@@ -428,7 +429,7 @@ def save_model(model: CalibratedLinearModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> CalibratedLinearModel:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except OSError as e:
         raise IoFailure(str(e)) from e
     except json.JSONDecodeError as e:

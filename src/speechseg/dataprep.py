@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyClass, InsufficientSources, InvalidConfig, UnsortedInput
+from .errors import (
+    EmptyClass,
+    InsufficientSources,
+    InvalidConfig,
+    UnsortedInput,
+    read_text,
+)
 from .segments import Segment
 
 
@@ -127,9 +133,7 @@ def build_dataset(
 def read_ctm(path: str | Path) -> dict[str, list[WordAlignment]]:
     """CTM rows grouped by file id, sorted by start within each file."""
     out: dict[str, list[WordAlignment]] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith(";;"):
             continue
         parts = line.split()
@@ -152,9 +156,7 @@ def write_manifest(entries: list[ManifestEntry], path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     out = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

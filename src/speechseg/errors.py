@@ -1,8 +1,12 @@
-"""Exception types raised by the toolkit.
+"""Exception types raised by the toolkit, and the text decoding that
+every text reader shares.
 
 Every error carries the failing condition in its message; the CLI maps any
 SpeechSegError subclass to exit status 1 and prints the class name.
 """
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class SpeechSegError(Exception):
@@ -12,7 +16,8 @@ class SpeechSegError(Exception):
 # -- audio / feature front-end ------------------------------------------------
 
 class UnsupportedEncoding(SpeechSegError):
-    """WAV file uses a codec other than PCM16 or IEEE float32."""
+    """WAV file uses a codec other than PCM16 or IEEE float, or a text
+    file is not UTF-8."""
 
 
 class ChannelMismatch(SpeechSegError):
@@ -138,3 +143,18 @@ class DegenerateData(SpeechSegError):
 
 class PerplexityTooLarge(SpeechSegError):
     """Perplexity incompatible with the number of points."""
+
+
+# -- text files ---------------------------------------------------------------
+
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """The UTF-8 text of a file, read with open()'s newline handling; a
+    byte that is not UTF-8 raises UnsupportedEncoding naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise UnsupportedEncoding(
+            f"{path}: not UTF-8 text (byte {e.object[e.start]:#04x} "
+            f"at offset {e.start})"
+        ) from None

@@ -15,6 +15,21 @@ Conventions, shared with the reference DSP chain used in tests:
   the Nyquist frequency;
 * log energies floored at 1e-10 before the natural log;
 * orthonormal DCT-II truncated to num_ceps coefficients.
+
+MFCC and CMVN run in blocks of at most FRONTEND_BLOCK_FRAMES frames, so
+beyond the samples and the T x D output their peak memory is the same
+for a clip and for an hour-long recording. compute_mfcc pre-emphasizes,
+frames and transforms one block of samples at a time; a block's first
+pre-emphasized sample looks back at the sample before the block, as the
+whole-signal filter does. apply_cmvn streams its prefix sums: each block
+of rows continues the running sums from the first row its windows reach.
+The output is byte-identical to a whole-matrix pass, because every value
+goes through the same float64 operations in the same order: frames are
+independent once pre-emphasized, and cumsum and the axis-0 sums add rows
+one after another. Blocks split the frames evenly, so no block has fewer
+than half a block of rows unless the whole input is that short: BLAS
+sums a matrix product of a few dozen rows with another kernel, whose
+last bits differ, and a short tail block would take it.
 """
 from __future__ import annotations
 
@@ -35,6 +50,9 @@ from .errors import (
 )
 
 LOG_ENERGY_FLOOR = 1e-10
+
+# frames per block of compute_mfcc and rows per block of apply_cmvn
+FRONTEND_BLOCK_FRAMES = 2048
 
 _WINDOWS = ("hamming", "hann", "rectangular")
 
@@ -70,7 +88,6 @@ class MfccConfig:
     num_ceps: int = 30
     pre_emphasis: float = 0.97
     window: str = "hamming"
-    dither: float = 0.0
     low_freq_hz: float = 20.0
 
     def validate(self, sample_rate: int) -> None:
@@ -138,13 +155,14 @@ def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise UnsupportedEncoding(f"{path}: not a RIFF/WAVE file")
 
+    view = memoryview(raw)
     fmt = None
     data = None
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise TruncatedFile(f"{path}: fmt chunk truncated")
@@ -163,21 +181,25 @@ def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
 
     audio_format, channels, sample_rate, _, _, bits = fmt
     if audio_format == 1 and bits == 16:
-        values = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        values = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    elif audio_format == 3 and bits == 64:
-        values = np.frombuffer(data, dtype="<f8").astype(np.float64)
+        dtype = "<i2"
+    elif audio_format == 3 and bits in (32, 64):
+        dtype = f"<f{bits // 8}"
     else:
         raise UnsupportedEncoding(
             f"{path}: format tag {audio_format} with {bits} bits is not "
             "PCM16 or IEEE float"
         )
-
     if channels < 1:
         raise UnsupportedEncoding(f"{path}: zero channels")
-    if values.size % channels:
-        raise TruncatedFile(f"{path}: sample data not a whole number of frames")
+    if len(data) % (channels * bits // 8):
+        raise TruncatedFile(
+            f"{path}: data chunk of {len(data)} bytes is not a whole number "
+            f"of {channels}-channel {bits}-bit frames"
+        )
+
+    values = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    if audio_format == 1:
+        values /= 32768.0
     if channels > 1:
         if not downmix:
             raise ChannelMismatch(
@@ -185,7 +207,7 @@ def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
             )
         values = values.reshape(-1, channels).mean(axis=1)
 
-    return AudioBuffer(np.clip(values, -1.0, 1.0), sample_rate)
+    return AudioBuffer(np.clip(values, -1.0, 1.0, out=values), sample_rate)
 
 
 def write_wav(
@@ -275,47 +297,85 @@ def _window(kind: str, length: int) -> np.ndarray:
     return np.ones(length)
 
 
-def compute_mfcc(audio: AudioBuffer, cfg: MfccConfig = MfccConfig()) -> FeatureMatrix:
-    """MFCC rows for every frame of ``audio``.
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """[start, stop) spans of near-equal blocks of at most
+    FRONTEND_BLOCK_FRAMES that cover range(n)."""
+    size = -(-n // -(-n // FRONTEND_BLOCK_FRAMES))
+    return [(a, min(a + size, n)) for a in range(0, n, size)]
 
-    Deterministic when cfg.dither == 0 (the default); dither noise, when
-    requested, uses a fixed-seed generator so repeated runs still agree.
-    """
+
+def _pre_emphasized(x: np.ndarray, a: int, b: int, coef: float) -> np.ndarray:
+    """Samples [a, b) of y[n] = x[n] - coef*x[n-1], y[0] = x[0]*(1 - coef)."""
+    if coef == 0:
+        return x[a:b]
+    if a > 0:
+        return x[a:b] - coef * x[a - 1 : b - 1]
+    y = np.empty(b)
+    y[0] = x[0] * (1.0 - coef)
+    y[1:] = x[1:b] - coef * x[: b - 1]
+    return y
+
+
+def compute_mfcc(audio: AudioBuffer, cfg: MfccConfig = MfccConfig()) -> FeatureMatrix:
+    """MFCC rows for every frame of ``audio``, computed one block of
+    frames at a time; deterministic, and byte-identical to a single pass
+    over the whole signal."""
     cfg.validate(audio.sample_rate)
     frame_len = round(cfg.frame_length_ms * audio.sample_rate / 1000.0)
     shift = round(cfg.frame_shift_ms * audio.sample_rate / 1000.0)
-    if len(audio.samples) < frame_len:
-        raise AudioTooShort(
-            f"{len(audio.samples)} samples < one frame of {frame_len}"
-        )
-
     signal = audio.samples
-    if cfg.dither > 0:
-        rng = np.random.default_rng(0)
-        signal = signal + cfg.dither * rng.standard_normal(len(signal))
-    if cfg.pre_emphasis > 0:
-        signal = np.concatenate(
-            ([signal[0] * (1.0 - cfg.pre_emphasis)],
-             signal[1:] - cfg.pre_emphasis * signal[:-1])
+    if len(signal) < frame_len:
+        raise AudioTooShort(
+            f"{len(signal)} samples < one frame of {frame_len}"
         )
-
-    T = frame_count(len(signal), frame_len, shift)
-    idx = np.arange(frame_len)[None, :] + shift * np.arange(T)[:, None]
-    frames = signal[idx] * _window(cfg.window, frame_len)[None, :]
 
     nfft = 1
     while nfft < frame_len:
         nfft *= 2
-    spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
-
+    window = _window(cfg.window, frame_len)
     fbank = mel_filterbank(
         cfg.num_mel_bins, nfft, audio.sample_rate, cfg.low_freq_hz,
         audio.sample_rate / 2.0,
     )
-    log_energies = np.log(np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR))
-    ceps = log_energies @ dct_matrix(cfg.num_ceps, cfg.num_mel_bins).T
+    dct = dct_matrix(cfg.num_ceps, cfg.num_mel_bins)
+
+    T = frame_count(len(signal), frame_len, shift)
+    blocks = _blocks(T)
+    idx = np.arange(frame_len)[None, :] + shift * np.arange(blocks[0][1])[:, None]
+    ceps = np.empty((T, cfg.num_ceps))
+    for f0, f1 in blocks:
+        y = _pre_emphasized(
+            signal, f0 * shift, (f1 - 1) * shift + frame_len, cfg.pre_emphasis
+        )
+        frames = y[idx[: f1 - f0]]
+        frames *= window
+        spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
+        log_energies = np.log(np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR))
+        ceps[f0:f1] = log_energies @ dct.T
 
     return FeatureMatrix(ceps, cfg.frame_shift_ms / 1000.0)
+
+
+def _prefix_sums(rows: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """(n + 1) x D running sums of the rows, added in row order: row 0 is
+    carry (zeros when None), row k adds rows[k - 1] to row k - 1."""
+    out = np.empty((len(rows) + 1, rows.shape[1]))
+    if carry is None:
+        # the first sum is rows[0] itself, as in a cumsum over the whole
+        # matrix; 0.0 + rows[0] would turn a -0.0 into +0.0
+        out[0] = 0.0
+        np.cumsum(rows, axis=0, out=out[1:])
+    else:
+        out[0] = carry
+        out[1:] = rows
+        np.cumsum(out, axis=0, out=out)
+    return out
+
+
+def _normalized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    out = x - mean
+    live = std > 1e-10
+    return np.where(live, out / np.where(live, std, 1.0), out)
 
 
 def apply_cmvn(feats: FeatureMatrix, window_frames: int = 301) -> FeatureMatrix:
@@ -334,38 +394,56 @@ def apply_cmvn(feats: FeatureMatrix, window_frames: int = 301) -> FeatureMatrix:
         raise EmptyFeatures("cannot normalize an empty feature matrix")
 
     x = feats.rows
-    T, D = x.shape
+    T = len(x)
     half = window_frames // 2
 
     if T <= window_frames:
-        mean = np.broadcast_to(x.mean(axis=0), x.shape)
-        std = np.broadcast_to(x.std(axis=0), x.shape)
+        out = _normalized(x, x.mean(axis=0), x.std(axis=0))
     else:
         # prefix sums over globally centered data give O(T*D) windowed
         # moments; centering keeps the E[z^2]-E[z]^2 cancellation small
         center = x.mean(axis=0)
-        z = x - center
-        zeros = np.zeros((1, D))
-        s1 = np.concatenate([zeros, np.cumsum(z, axis=0)])
-        s2 = np.concatenate([zeros, np.cumsum(z * z, axis=0)])
-        lo = np.maximum(0, np.minimum(np.arange(T) - half, T - window_frames))
-        hi = lo + window_frames
-        mz = (s1[hi] - s1[lo]) / window_frames
-        var = np.maximum((s2[hi] - s2[lo]) / window_frames - mz * mz, 0.0)
-        mean = mz + center
+        blocks = _blocks(T)
+        sq = None
+        for b0, b1 in blocks:
+            z = x[b0:b1] - center
+            z *= z
+            sq = _prefix_sums(z, sq)[-1]
+        # the same row-order sum as (z * z).mean(axis=0)
+        guard = np.maximum(1e-5 * (sq / T), 1e-20)
 
-        # windows whose variance sits near the rounding floor get an exact
-        # two-pass recompute; cancellation there can fake a nonzero std
-        guard = np.maximum(1e-5 * (z * z).mean(axis=0), 1e-20)
-        for t in np.nonzero((var < guard).any(axis=1))[0]:
-            chunk = x[lo[t] : hi[t]]
-            mean[t] = chunk.mean(axis=0)
-            var[t] = chunk.var(axis=0)
-        std = np.sqrt(var)
+        out = np.empty_like(x)
+        p0 = 0
+        s1 = s2 = None
+        for b0, b1 in blocks:
+            lo = np.maximum(
+                0, np.minimum(np.arange(b0, b1) - half, T - window_frames)
+            )
+            # running sums from row lo[0], where the block's first window
+            # starts, to the end of its last window; the previous block's
+            # sums already reach lo[0]
+            start, stop = lo[0], lo[-1] + window_frames
+            c1 = s1[start - p0] if start else None
+            c2 = s2[start - p0] if start else None
+            p0 = start
+            z = x[start:stop] - center
+            s1 = _prefix_sums(z, c1)
+            z *= z
+            s2 = _prefix_sums(z, c2)
 
-    out = x - mean
-    live = std > 1e-10
-    out = np.where(live, out / np.where(live, std, 1.0), out)
+            at, to = lo - start, lo - start + window_frames
+            mz = (s1[to] - s1[at]) / window_frames
+            var = np.maximum((s2[to] - s2[at]) / window_frames - mz * mz, 0.0)
+            mean = mz + center
+
+            # windows whose variance sits near the rounding floor get an exact
+            # two-pass recompute; cancellation there can fake a nonzero std
+            for t in np.nonzero((var < guard).any(axis=1))[0]:
+                chunk = x[lo[t] : lo[t] + window_frames]
+                mean[t] = chunk.mean(axis=0)
+                var[t] = chunk.var(axis=0)
+            out[b0:b1] = _normalized(x[b0:b1], mean, np.sqrt(var))
+
     constant = x.max(axis=0) == x.min(axis=0)
     out[:, constant] = 0.0
 

@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     SegmentOutOfBounds,
     ZeroTotal,
+    read_text,
 )
 from .segments import Segment, parse_segment
 
@@ -268,9 +269,7 @@ def normalize_text(line: str) -> list[str]:
 def read_transcripts(path: str | Path, normalize: bool = True) -> dict:
     """`file-id<TAB>words...` per line -> {file-id: word list}."""
     out: dict[str, list[str]] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         file_id, _, text = line.partition("\t")
@@ -302,9 +301,7 @@ def score_transcripts(
 def read_condition_labels(path: str | Path) -> list[Segment]:
     """TSV `start<TAB>end<TAB>condition` rows, validated and sorted."""
     out = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), 1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidSegment, UnsortedInput
+from .errors import InvalidSegment, UnsortedInput, read_text
 
 
 @dataclass(frozen=True)
@@ -62,17 +62,16 @@ def write_tsv(segments: list[Segment], path: str | Path) -> None:
 
 def read_tsv(path: str | Path) -> list[Segment]:
     segments = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InvalidSegment(
-                    f"{path}:{lineno}: expected 3 tab-separated fields"
-                )
-            segments.append(parse_segment(parts, path, lineno))
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise InvalidSegment(
+                f"{path}:{lineno}: expected 3 tab-separated fields"
+            )
+        segments.append(parse_segment(parts, path, lineno))
     return segments
 
 
@@ -105,12 +104,11 @@ def write_rttm(segments: list[Segment], file_id: str, path: str | Path) -> None:
 def read_rttm(path: str | Path) -> list[tuple[str, Segment]]:
     """Read RTTM SPEAKER lines as (file_id, Segment) pairs."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.split()
-            if not parts or parts[0] != "SPEAKER":
-                continue
-            start = float(parts[3])
-            dur = float(parts[4])
-            out.append((parts[1], Segment(start, start + dur, parts[7])))
+    for line in read_text(path).split("\n"):
+        parts = line.split()
+        if not parts or parts[0] != "SPEAKER":
+            continue
+        start = float(parts[3])
+        dur = float(parts[4])
+        out.append((parts[1], Segment(start, start + dur, parts[7])))
     return out

@@ -438,21 +438,26 @@ def load_weights(path: str | Path) -> XVectorNet:
         raise BadMagic(f"{path}: unsupported weight format version {version}")
 
     pos = 8
+
+    def take(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(body):
+            raise CorruptArchive(f"{path}: truncated layer record")
+        pos += size
+        return struct.unpack_from(fmt, body, pos - size)
+
     layers = []
     for _ in range(count):
-        (tag,) = struct.unpack_from("<B", body, pos)
-        pos += 1
+        (tag,) = take("<B")
         if tag == _POOL:
             layers.append(StatsPool())
             continue
         if tag not in (_FRAME, _SEGMENT):
             raise CorruptArchive(f"{path}: unknown layer tag {tag}")
-        (noffs,) = struct.unpack_from("<B", body, pos)
-        pos += 1
-        offsets = struct.unpack_from(f"<{noffs}h", body, pos)
-        pos += 2 * noffs
-        d_in, d_out = struct.unpack_from("<II", body, pos)
-        pos += 8
+        (noffs,) = take("<B")
+        offsets = take(f"<{noffs}h")
+        d_in, d_out = take("<II")
         counts = (d_out * d_in * noffs, d_out, d_out, d_out)
         if pos + 4 * sum(counts) > len(body):
             raise CorruptArchive(f"{path}: truncated layer record")

@@ -7,7 +7,9 @@ schemas shipped inside the package.
 """
 import json
 import re
+import struct
 import subprocess
+import zlib
 import sys
 from importlib import resources
 from pathlib import Path
@@ -19,10 +21,12 @@ import pytest
 from speechseg.classifier import load_model
 from speechseg.cli import COMMANDS, main
 from speechseg.analysis import read_projection_csv
-from speechseg.dataprep import read_manifest
+from speechseg.dataprep import read_ctm, read_manifest
+from speechseg.errors import UnsupportedEncoding
 from speechseg.frontend import apply_cmvn, compute_mfcc, read_wav
-from speechseg.segments import read_tsv
-from speechseg.xvector import load_archive
+from speechseg.metrics import read_condition_labels, read_transcripts
+from speechseg.segments import read_rttm, read_tsv
+from speechseg.xvector import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_archive
 
 
 def run(argv):
@@ -280,6 +284,35 @@ class TestEmbeddingCommands:
                 fb["out"]
             ).read_bytes()
 
+    def test_partial_sample_is_domain_error(self, work, tmp_path, capsys):
+        # a PCM16 data chunk of 3,001 bytes ends in half a sample
+        wav = tmp_path / "odd.wav"
+        data = b"\x01\x00" * 1500 + b"\x01"
+        wav.write_bytes(
+            struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data) + 1,
+                        b"WAVE", b"fmt ", 16, 1, 1, 16000, 32000, 2, 16,
+                        b"data", len(data))
+            + data + b"\x00"
+        )
+        code = run(["extract", "--audio", str(wav),
+                    "--net", str(work / "net.xvnw"),
+                    "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "TruncatedFile" in err and str(wav) in err
+
+    def test_weight_count_beyond_records_is_domain_error(self, work,
+                                                         tmp_path, capsys):
+        # the header promises five layers; no record follows
+        body = WEIGHTS_MAGIC + struct.pack("<HH", WEIGHTS_VERSION, 5)
+        net = tmp_path / "trunc.xvnw"
+        net.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = run(["extract", "--audio", str(work / "mix.wav"),
+                    "--net", str(net), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "CorruptArchive" in err and str(net) in err
+
     def test_jobs_below_one_rejected(self, work, tmp_path, capsys):
         code = run(["extract", "--audio", str(work / "mix.wav"),
                     "--net", str(work / "net.xvnw"),
@@ -481,6 +514,17 @@ class TestEvalCommands:
         assert code == 1
         assert "InvalidSegment" in err and f"{cond}:2:" in err
 
+    def test_eval_vad_non_utf8_byte_is_domain_error(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.tsv"
+        cond = tmp_path / "c.tsv"
+        hyp.write_bytes(b"0.0\t1.0\tsp\xffeech\n")
+        cond.write_text("0.0\t3.0\tclean_speech\n", encoding="utf-8")
+        code = run(["eval-vad", "--hyp", str(hyp), "--conditions", str(cond),
+                    "--duration", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "UnsupportedEncoding" in err and str(hyp) in err
+
     def test_eval_wer_identical_is_zero(self, tmp_path, run_json):
         ref = tmp_path / "ref.txt"
         ref.write_text(
@@ -510,6 +554,17 @@ class TestEvalCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "EmptyReference" in err
+
+
+@pytest.mark.parametrize("reader", [
+    read_tsv, read_rttm, read_ctm, read_manifest, read_transcripts,
+    read_condition_labels, read_projection_csv, load_model,
+])
+def test_text_readers_reject_non_utf8(tmp_path, reader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0.0\t1.0\tsp\xffeech\n")
+    with pytest.raises(UnsupportedEncoding, match=re.escape(str(path))):
+        reader(path)
 
 
 class TestDataCommands:

@@ -1,11 +1,13 @@
 """Audio decoding, MFCC, CMVN, and FEAT serialization."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speechseg import frontend
 from speechseg.errors import (
     AudioTooShort,
     BadMagic,
@@ -26,6 +28,7 @@ from speechseg.frontend import (
     write_features,
     write_wav,
 )
+from speechseg.synth import make_silence, make_speech_then_tone
 
 from reference import ref_cmvn, ref_mfcc
 
@@ -98,6 +101,18 @@ class TestWav:
         path.write_bytes(full[:-500])
         with pytest.raises(TruncatedFile):
             read_wav(path)
+
+    @pytest.mark.parametrize("channels,bits,size", [
+        (1, 16, 3001), (2, 16, 3002), (1, 32, 3002), (1, 64, 4004),
+    ])
+    def test_partial_sample_frame(self, tmp_path, channels, bits, size):
+        path = tmp_path / "a.wav"
+        tag = 1 if bits == 16 else 3
+        path.write_bytes(
+            _wav_header(tag, channels, 16000, bits, size) + b"\x00" * (size + 1)
+        )
+        with pytest.raises(TruncatedFile, match=f"{size} bytes"):
+            read_wav(path, downmix=True)
 
 
 def _wav_header(fmt_tag, channels, sr, bits, data_len):
@@ -231,6 +246,96 @@ class TestCmvn:
         out = apply_cmvn(feats, 5)
         assert out.frame_shift_s == 0.02
         assert out.start_time_s == 1.5
+
+
+# -----------------------------------------------------------------------------
+# Blocks: MFCC and CMVN run FRONTEND_BLOCK_FRAMES frames at a time
+# -----------------------------------------------------------------------------
+
+def speech_tone_silence(speech_s, tone_s):
+    """Speech proxy, then a steady tone, then 5 s of digital silence: the
+    tone and the silence drive CMVN's near-zero-variance recompute."""
+    head = make_speech_then_tone(speech_s, tone_s, seed=3)
+    tail = make_silence(5.0)
+    return AudioBuffer(np.concatenate([head.samples, tail.samples]), 16000)
+
+
+def traced_peak_above_output(fn, *args):
+    """tracemalloc peak of one call, less the bytes of its T x D output."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.rows.nbytes
+
+
+class TestBlocks:
+    def test_blocks_match_one_block_pass(self, monkeypatch):
+        audio = speech_tone_silence(20.0, 15.0)
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
+        whole = compute_mfcc(audio)
+        whole_cmvn = apply_cmvn(whole)
+
+        # 255-frame MFCC blocks keep every matrix product above the few
+        # dozen rows where BLAS sums with another kernel; CMVN has no
+        # matrix product and takes 7-row blocks, far below its window
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 255)
+        blocked = compute_mfcc(audio)
+        assert blocked.rows.tobytes() == whole.rows.tobytes()
+        assert apply_cmvn(whole).rows.tobytes() == whole_cmvn.rows.tobytes()
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 7)
+        assert apply_cmvn(whole).rows.tobytes() == whole_cmvn.rows.tobytes()
+
+        # the frames on either side of the first MFCC block boundary
+        # against the per-frame oracle, run on the samples around them
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 255)
+        edge = frontend._blocks(blocked.num_frames)[1][0]
+        first, last = edge - 2, edge + 2
+        samples = audio.samples[(first - 1) * 160 : (last - 1) * 160 + 400]
+        want = ref_mfcc(samples, 16000)[1:]
+        np.testing.assert_allclose(
+            blocked.rows[first:last], want, rtol=1e-6, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            whole_cmvn.rows, ref_cmvn(whole.rows, 301), atol=1e-9
+        )
+
+    def test_rfft_sees_one_block_at_a_time(self, monkeypatch):
+        audio = speech_tone_silence(50.0, 5.0)
+        rows = []
+        rfft = np.fft.rfft
+
+        def record(frames, *args, **kwargs):
+            rows.append(len(frames))
+            return rfft(frames, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", record)
+        feats = compute_mfcc(audio)
+        assert feats.num_frames > 2 * frontend.FRONTEND_BLOCK_FRAMES
+        assert len(rows) == 3 and sum(rows) == feats.num_frames
+        assert max(rows) <= frontend.FRONTEND_BLOCK_FRAMES
+
+    def test_peak_memory_does_not_grow_with_the_stream(self):
+        peaks = []
+        for seconds in (60.0, 300.0):
+            audio = speech_tone_silence(seconds - 10.0, 5.0)
+            feats = compute_mfcc(audio)
+            peaks.append((traced_peak_above_output(compute_mfcc, audio),
+                          traced_peak_above_output(apply_cmvn, feats)))
+        (mfcc_60, cmvn_60), (mfcc_300, cmvn_300) = peaks
+        assert abs(mfcc_300 - mfcc_60) < 2 * 2**20
+        assert abs(cmvn_300 - cmvn_60) < 2 * 2**20
+
+    @given(n=st.integers(1, 40_000))
+    def test_blocks_split_evenly(self, n):
+        spans = frontend._blocks(n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = [b - a for a, b in spans]
+        assert max(sizes) <= frontend.FRONTEND_BLOCK_FRAMES
+        assert min(sizes) >= min(n, frontend.FRONTEND_BLOCK_FRAMES // 2)
 
 
 # -----------------------------------------------------------------------------
