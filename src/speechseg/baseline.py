@@ -31,7 +31,6 @@ ENERGY_FLOOR = 1e-10
 class FrameDecisionTrack:
     decisions: np.ndarray
     frame_period_s: float = FRAME_PERIOD_S
-    scores: np.ndarray | None = None
     start_time_s: float = 0.0
 
     def __post_init__(self):
@@ -40,10 +39,6 @@ class FrameDecisionTrack:
             raise InvalidConfig("frame_period_s must be positive")
         if not np.isin(self.decisions, (0, 1)).all():
             raise InvalidConfig("decisions must be 0 or 1")
-        if self.scores is not None:
-            self.scores = np.asarray(self.scores, dtype=np.float64)
-            if self.scores.shape != self.decisions.shape:
-                raise InvalidConfig("scores must align with decisions")
 
     def __len__(self):
         return len(self.decisions)
@@ -76,10 +71,7 @@ def energy_vad_frames(
     for i, e in enumerate(energy_db):
         floor = min(e, floor + FLOOR_RISE_DB_PER_FRAME)
         decisions[i] = 1 if e > floor + margin else 0
-
-    # score: margin headroom squashed onto [0, 1]
-    scores = np.clip((energy_db - (FLOOR_INIT_DB + margin)) / 100.0, 0.0, 1.0)
-    return FrameDecisionTrack(decisions, FRAME_PERIOD_S, scores)
+    return FrameDecisionTrack(decisions, FRAME_PERIOD_S)
 
 
 def median_filter(track: FrameDecisionTrack, width: int = 5) -> FrameDecisionTrack:
@@ -94,8 +86,7 @@ def median_filter(track: FrameDecisionTrack, width: int = 5) -> FrameDecisionTra
         k = min(width // 2, i, n - 1 - i)  # shrunken half-width at edges
         ones = prefix[i + k + 1] - prefix[i - k]
         out[i] = 1 if 2 * ones > 2 * k + 1 else 0
-    return FrameDecisionTrack(out, track.frame_period_s, track.scores,
-                              track.start_time_s)
+    return FrameDecisionTrack(out, track.frame_period_s, track.start_time_s)
 
 
 def decisions_to_segments(

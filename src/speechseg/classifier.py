@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,6 @@ class TrainConfig:
     tolerance: float = 1e-4
     folds: int = 3
     seed: int = 0
-    # optional per-class upper-bound scaling (C * scale for that class)
-    c_speech_scale: float = 1.0
-    c_noise_scale: float = 1.0
 
     def __post_init__(self):
         if self.C <= 0:
@@ -70,8 +67,6 @@ class TrainConfig:
             raise InvalidConfig("calibration needs at least 2 folds")
         if self.max_iter < 1 or self.tolerance <= 0:
             raise InvalidConfig("max_iter and tolerance must be positive")
-        if self.c_speech_scale <= 0 or self.c_noise_scale <= 0:
-            raise InvalidConfig("per-class C scales must be positive")
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,6 @@ def train_linear_svm(
     # bias as a constant feature: w_aug = [w, b]
     xa = np.concatenate([x, np.ones((n, 1))], axis=1)
 
-    upper = cfg.C * np.where(y > 0, cfg.c_speech_scale, cfg.c_noise_scale)
     q_diag = np.einsum("ij,ij->i", xa, xa)
     alpha = np.zeros(n)
     w = np.zeros(dim + 1)
@@ -173,12 +167,12 @@ def train_linear_svm(
             g = y[i] * (w @ xa[i]) - 1.0
             if alpha[i] <= 0.0:
                 pg = min(g, 0.0)
-            elif alpha[i] >= upper[i]:
+            elif alpha[i] >= cfg.C:
                 pg = max(g, 0.0)
             else:
                 pg = g
             if pg != 0.0:
-                new = min(max(alpha[i] - g / q_diag[i], 0.0), upper[i])
+                new = min(max(alpha[i] - g / q_diag[i], 0.0), cfg.C)
                 if new != alpha[i]:
                     w += (new - alpha[i]) * y[i] * xa[i]
                     alpha[i] = new
@@ -288,11 +282,7 @@ def platt_calibrate(
     for fold in range(cfg.folds):
         held = assignment == fold
         train = [d for d, h in zip(data, held) if not h]
-        fold_cfg = TrainConfig(
-            cfg.C, cfg.max_iter, cfg.tolerance, cfg.folds,
-            cfg.seed + 1000 * (fold + 1),
-            cfg.c_speech_scale, cfg.c_noise_scale,
-        )
+        fold_cfg = replace(cfg, seed=cfg.seed + 1000 * (fold + 1))
         w, b = train_linear_svm(train, fold_cfg)
         scores[held] = x[held] @ w + b
 
@@ -455,5 +445,5 @@ def load_model(path: str | Path) -> CalibratedLinearModel:
             int(doc.get("train_folds", 3)),
             int(doc.get("train_seed", 0)),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvalidConfig(f"{path}: malformed model value ({e})") from e

@@ -140,10 +140,18 @@ def read_ctm(path: str | Path) -> dict[str, list[WordAlignment]]:
         if len(parts) < 5:
             raise InvalidConfig(f"{path}:{lineno}: expected 5 CTM fields")
         file_id, _channel, start, dur, word = parts[:5]
-        start_s = float(start)
-        out.setdefault(file_id, []).append(
-            WordAlignment(word, start_s, start_s + float(dur), file_id)
-        )
+        try:
+            start_s = float(start)
+            end_s = start_s + float(dur)
+        except ValueError:
+            raise InvalidConfig(
+                f"{path}:{lineno}: unparsable time in {[start, dur]!r}"
+            ) from None
+        try:
+            aligned = WordAlignment(word, start_s, end_s, file_id)
+        except InvalidConfig as e:
+            raise InvalidConfig(f"{path}:{lineno}: {e}") from None
+        out.setdefault(file_id, []).append(aligned)
     for words in out.values():
         words.sort(key=lambda w: (w.start_s, w.end_s))
     return out

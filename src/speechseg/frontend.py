@@ -8,7 +8,7 @@ Conventions, shared with the reference DSP chain used in tests:
   T = floor((len - frame_len) / shift) + 1;
 * pre-emphasis applied to the whole signal, y[n] = x[n] - coef*x[n-1],
   y[0] = x[0]*(1 - coef);
-* power spectrum from a zero-padded FFT of the windowed frame
+* power spectrum from a zero-padded FFT of the Hamming-windowed frame
   (nfft = next power of two >= frame length), no normalization;
 * mel filterbank: triangular filters in the Hz domain with centers evenly
   spaced on the HTK mel scale (2595*log10(1 + f/700)) between 20 Hz and
@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import (
     AudioTooShort,
-    BadMagic,
     ChannelMismatch,
     EmptyFeatures,
     InvalidConfig,
@@ -53,8 +52,6 @@ LOG_ENERGY_FLOOR = 1e-10
 
 # frames per block of compute_mfcc and rows per block of apply_cmvn
 FRONTEND_BLOCK_FRAMES = 2048
-
-_WINDOWS = ("hamming", "hann", "rectangular")
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class MfccConfig:
     num_mel_bins: int = 40
     num_ceps: int = 30
     pre_emphasis: float = 0.97
-    window: str = "hamming"
     low_freq_hz: float = 20.0
 
     def validate(self, sample_rate: int) -> None:
@@ -101,8 +97,6 @@ class MfccConfig:
             raise InvalidConfig("frame length and shift must be positive")
         if self.num_mel_bins < 2 or self.num_ceps < 1:
             raise InvalidConfig("need at least 2 mel bins and 1 cepstral coefficient")
-        if self.window not in _WINDOWS:
-            raise InvalidConfig(f"unknown window {self.window!r}, expected {_WINDOWS}")
         if not 0.0 <= self.pre_emphasis < 1.0:
             raise InvalidConfig("pre_emphasis must lie in [0, 1)")
         if self.low_freq_hz < 0 or self.low_freq_hz >= sample_rate / 2:
@@ -136,9 +130,6 @@ class FeatureMatrix:
     def span_s(self) -> float:
         """Seconds of signal the matrix stands for (one shift per frame)."""
         return self.num_frames * self.frame_shift_s
-
-    def frame_time(self, i: int) -> float:
-        return self.start_time_s + i * self.frame_shift_s
 
 
 # -----------------------------------------------------------------------------
@@ -288,13 +279,9 @@ def frame_count(num_samples: int, frame_len: int, shift: int) -> int:
     return (num_samples - frame_len) // shift + 1
 
 
-def _window(kind: str, length: int) -> np.ndarray:
+def _hamming(length: int) -> np.ndarray:
     n = np.arange(length)
-    if kind == "hamming":
-        return 0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2 * np.pi * n / (length - 1))
-    return np.ones(length)
+    return 0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -332,7 +319,7 @@ def compute_mfcc(audio: AudioBuffer, cfg: MfccConfig = MfccConfig()) -> FeatureM
     nfft = 1
     while nfft < frame_len:
         nfft *= 2
-    window = _window(cfg.window, frame_len)
+    window = _hamming(frame_len)
     fbank = mel_filterbank(
         cfg.num_mel_bins, nfft, audio.sample_rate, cfg.low_freq_hz,
         audio.sample_rate / 2.0,
@@ -448,31 +435,3 @@ def apply_cmvn(feats: FeatureMatrix, window_frames: int = 301) -> FeatureMatrix:
     out[:, constant] = 0.0
 
     return FeatureMatrix(out, feats.frame_shift_s, feats.start_time_s)
-
-
-# -----------------------------------------------------------------------------
-# FEAT binary format: magic "FEAT", u32 T, u32 D, f64 frame_shift_s,
-# then T*D little-endian f32.
-# -----------------------------------------------------------------------------
-
-FEAT_MAGIC = b"FEAT"
-
-
-def write_features(feats: FeatureMatrix, path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.write(FEAT_MAGIC)
-        f.write(struct.pack("<IId", feats.num_frames, feats.dim, feats.frame_shift_s))
-        f.write(feats.rows.astype("<f4").tobytes())
-
-
-def read_features(path: str | Path) -> FeatureMatrix:
-    raw = Path(path).read_bytes()
-    if raw[:4] != FEAT_MAGIC:
-        raise BadMagic(f"{path}: expected FEAT magic")
-    t, d, shift = struct.unpack_from("<IId", raw, 4)
-    body = raw[20:]
-    expected = t * d * 4
-    if len(body) < expected:
-        raise TruncatedFile(f"{path}: expected {expected} payload bytes")
-    rows = np.frombuffer(body[:expected], dtype="<f4").reshape(t, d)
-    return FeatureMatrix(rows.astype(np.float64), shift)

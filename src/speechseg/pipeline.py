@@ -1,20 +1,25 @@
 """End-to-end speech segmentation.
 
-Three strategies assemble the same building blocks in different orders:
+The three strategies share one decision path (_decide): every window
+gets a calibrated speech probability (1.0 for the baseline without a
+model), one AHC pass clusters the windows the strategy picks, and every
+window gets one decision-log record, labeled speech or noise by the
+probability cut. They differ in three things only:
 
 - baseline: adaptive-energy VAD per 30 ms frame, median filter, gap merge;
-  embeddings are computed only inside the resulting segments and clustered
-  to attach speaker labels.
-- xvector_filt: embed every sliding window, drop windows whose speech
-  probability falls below the threshold, cluster the survivors, then turn
-  stride-adjacent same-cluster runs into segments.
-- xvector_seg_filt: embed and cluster every window, form segments from the
-  runs, then reject segments whose noise proportion is too high.
+  embeddings are computed only inside the resulting segments, every
+  window is clustered on centered directions, and each VAD segment takes
+  its windows' majority cluster as its speaker label.
+- xvector_filt: embed every sliding window and cluster only the windows
+  at or above the probability cut, on raw directions; the others are
+  logged with cluster -1. Stride-adjacent same-cluster runs of the
+  clustered windows become segments.
+- xvector_seg_filt: embed every window and cluster all of them on
+  centered directions, form segments from the runs, then reject
+  segments whose noise proportion is too high.
 
 Output segments are sorted, non-overlapping per label, and labeled spkN,
 where N is the clustering id of the run (dense before any filtering).
-Every extracted window gets one decision-log record; records of windows
-that were dropped before clustering carry cluster -1.
 
 Windows whose samples are all exactly zero carry no evidence and are
 skipped outright, so digital silence never reaches the classifier and an
@@ -255,8 +260,47 @@ def _silent_window(audio: AudioBuffer, vec: XVector) -> bool:
     return not np.any(audio.samples[a:b])
 
 
-def _probability(model, vec) -> float:
-    return model.probability(vec.values) if model is not None else 1.0
+def _decide(vectors, cfg, model):
+    """Score, cluster and log every window: (clustered, decisions).
+
+    xvector_filt clusters only the windows at or above the probability
+    cut, on raw directions: that set is single-class by construction, so
+    recording-level centering would only amplify residual noise. The
+    other strategies cluster every window on centered directions. A
+    window left out of clustering is logged with cluster -1; clustered is
+    None when no window was clustered.
+    """
+    probs = [
+        model.probability(v.values) if model is not None else 1.0
+        for v in vectors
+    ]
+    p_cut = cfg.vad_probability_threshold
+    if cfg.strategy == "xvector_filt":
+        picked = [i for i, p in enumerate(probs) if p >= p_cut]
+    else:
+        picked = list(range(len(vectors)))
+    ids = [-1] * len(vectors)
+    clustered = None
+    if picked:
+        clustered = cluster_ahc(
+            [vectors[i] for i in picked],
+            cfg.cluster_distance_threshold,
+            [probs[i] for i in picked],
+            center=cfg.strategy != "xvector_filt",
+        )
+        for i, cid in zip(picked, clustered.cluster_ids):
+            ids[i] = cid
+    decisions = [
+        DecisionRecord(
+            v.window_start_s,
+            v.window_end_s,
+            probs[i],
+            "speech" if probs[i] >= p_cut else "noise",
+            ids[i],
+        )
+        for i, v in enumerate(vectors)
+    ]
+    return clustered, decisions
 
 
 def _run_xvector(audio, cfg, model, net):
@@ -269,80 +313,37 @@ def _run_xvector(audio, cfg, model, net):
     if not vectors:
         return [], [], []
 
-    probs = [_probability(model, v) for v in vectors]
-    p_cut = cfg.vad_probability_threshold
-
-    if cfg.strategy == "xvector_filt":
-        kept_idx = [i for i, p in enumerate(probs) if p >= p_cut]
-        decisions = []
-        if kept_idx:
-            # The kept set is single-class by construction, so recording-level
-            # centering would only amplify residual noise; cluster raw vectors.
-            clustered = cluster_ahc(
-                [vectors[i] for i in kept_idx],
-                cfg.cluster_distance_threshold,
-                [probs[i] for i in kept_idx],
-            )
-            cluster_of = dict(zip(kept_idx, clustered.cluster_ids))
-        else:
-            cluster_of = {}
-        for i, v in enumerate(vectors):
-            cid = cluster_of.get(i, -1)
-            label = "speech" if probs[i] >= p_cut else "noise"
-            decisions.append(
-                DecisionRecord(
-                    v.window_start_s, v.window_end_s, probs[i], label, cid
-                )
-            )
-        runs = _runs_to_segments(
-            [vectors[i] for i in kept_idx],
-            [cluster_of[i] for i in kept_idx],
-            cfg.extraction.stride_s,
+    clustered, decisions = _decide(vectors, cfg, model)
+    runs = _runs_to_segments(decisions, cfg.extraction.stride_s)
+    if cfg.strategy == "xvector_seg_filt":
+        runs = filter_segments(
+            clustered, runs, cfg.noise_proportion_threshold,
+            cfg.vad_probability_threshold,
         )
-        segments = merge_segments(runs, cfg.merge_gap_s)
-        return segments, vectors, decisions
-
-    # xvector_seg_filt: cluster everything, reject noisy segments after
-    clustered = cluster_ahc(
-        vectors, cfg.cluster_distance_threshold, probs, center=True
-    )
-    ids = clustered.cluster_ids
-    decisions = [
-        DecisionRecord(
-            v.window_start_s,
-            v.window_end_s,
-            probs[i],
-            "speech" if probs[i] >= p_cut else "noise",
-            ids[i],
-        )
-        for i, v in enumerate(vectors)
-    ]
-    runs = _runs_to_segments(vectors, ids, cfg.extraction.stride_s)
-    kept = filter_segments(
-        clustered, runs, cfg.noise_proportion_threshold, p_cut
-    )
-    segments = merge_segments(kept, cfg.merge_gap_s)
-    return segments, vectors, decisions
+    return merge_segments(runs, cfg.merge_gap_s), vectors, decisions
 
 
-def _runs_to_segments(vectors, cluster_ids, stride_s):
-    """Stride-adjacent windows sharing a cluster become one segment."""
+def _runs_to_segments(decisions, stride_s):
+    """Stride-adjacent clustered windows sharing a cluster become one
+    segment; windows with cluster -1 are skipped."""
     segments = []
     run_start = run_end = None
     run_id = None
     prev_start = None
-    for v, cid in zip(vectors, cluster_ids):
+    for d in decisions:
+        if d.cluster < 0:
+            continue
         adjacent = (
             prev_start is not None
-            and abs(v.window_start_s - prev_start - stride_s) < 1e-9
+            and abs(d.start_s - prev_start - stride_s) < 1e-9
         )
-        if run_id == cid and adjacent:
-            run_end = max(run_end, v.window_end_s)
+        if run_id == d.cluster and adjacent:
+            run_end = max(run_end, d.end_s)
         else:
             if run_id is not None:
                 segments.append(Segment(run_start, run_end, f"spk{run_id}"))
-            run_start, run_end, run_id = v.window_start_s, v.window_end_s, cid
-        prev_start = v.window_start_s
+            run_start, run_end, run_id = d.start_s, d.end_s, d.cluster
+        prev_start = d.start_s
     if run_id is not None:
         segments.append(Segment(run_start, run_end, f"spk{run_id}"))
     return segments
@@ -376,26 +377,8 @@ def _run_baseline(audio, cfg, model, net):
                 vectors.append(v)
                 owner.append(k)
 
-    p_cut = cfg.vad_probability_threshold
-    if vectors:
-        probs = [_probability(model, v) for v in vectors]
-        clustered = cluster_ahc(
-            vectors, cfg.cluster_distance_threshold, probs, center=True
-        )
-        ids = clustered.cluster_ids
-    else:
-        probs, ids = [], []
-
-    decisions = [
-        DecisionRecord(
-            v.window_start_s,
-            v.window_end_s,
-            probs[i],
-            "speech" if probs[i] >= p_cut else "noise",
-            ids[i],
-        )
-        for i, v in enumerate(vectors)
-    ]
+    _, decisions = _decide(vectors, cfg, model)
+    ids = [d.cluster for d in decisions]
 
     # majority cluster labels each VAD segment; ties pick the lowest id,
     # and segments too short to embed get fresh ids after the real ones

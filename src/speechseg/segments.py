@@ -2,7 +2,7 @@
 
 A segment is a half-open interval [start_s, end_s) with a label (a class
 name such as "speech" or a speaker id such as "spk0") and an optional score.
-Two text formats are supported:
+Two text formats are written; TSV is also read back:
 
 * TSV: ``start<TAB>end<TAB>label`` with 3-decimal fixed-point times.
 * RTTM: ``SPEAKER <file-id> 1 <start> <dur> <NA> <NA> <label> <NA> <NA>``.
@@ -100,15 +100,3 @@ def write_rttm(segments: list[Segment], file_id: str, path: str | Path) -> None:
                 f"<NA> <NA> {seg.label} <NA> <NA>\n"
             )
 
-
-def read_rttm(path: str | Path) -> list[tuple[str, Segment]]:
-    """Read RTTM SPEAKER lines as (file_id, Segment) pairs."""
-    out = []
-    for line in read_text(path).split("\n"):
-        parts = line.split()
-        if not parts or parts[0] != "SPEAKER":
-            continue
-        start = float(parts[3])
-        dur = float(parts[4])
-        out.append((parts[1], Segment(start, start + dur, parts[7])))
-    return out

@@ -347,3 +347,14 @@ class TestModelIo:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(InvalidConfig):
             load_model(path)
+
+    def test_rejects_infinite_integer_field(self, tmp_path):
+        model = CalibratedLinearModel(np.ones(4), 0.0, -1.0, 0.0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8").replace(
+            '"train_folds": 3', '"train_folds": 1e999'
+        )
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidConfig, match="malformed model value"):
+            load_model(path)

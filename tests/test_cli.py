@@ -25,7 +25,7 @@ from speechseg.dataprep import read_ctm, read_manifest
 from speechseg.errors import UnsupportedEncoding
 from speechseg.frontend import apply_cmvn, compute_mfcc, read_wav
 from speechseg.metrics import read_condition_labels, read_transcripts
-from speechseg.segments import read_rttm, read_tsv
+from speechseg.segments import read_tsv
 from speechseg.xvector import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_archive
 
 
@@ -557,7 +557,7 @@ class TestEvalCommands:
 
 
 @pytest.mark.parametrize("reader", [
-    read_tsv, read_rttm, read_ctm, read_manifest, read_transcripts,
+    read_tsv, read_ctm, read_manifest, read_transcripts,
     read_condition_labels, read_projection_csv, load_model,
 ])
 def test_text_readers_reject_non_utf8(tmp_path, reader):
@@ -583,6 +583,19 @@ class TestDataCommands:
         assert entry["words"] == 3
         segs = read_tsv(entry["out"])
         assert len(segs) == entry["segments"] == 2
+
+    def test_realign_unparsable_time_is_domain_error(self, tmp_path):
+        ctm = tmp_path / "bad.ctm"
+        ctm.write_text("rec1 1 abc 0.30 the\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "speechseg.cli", "realign",
+             "--ctm", str(ctm), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "InvalidConfig" in proc.stderr
+        assert f"{ctm}:1:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_split_counts(self, work, tmp_path, run_json):
         sp = tmp_path / "sp.tsv"

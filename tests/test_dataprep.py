@@ -1,4 +1,6 @@
 """Tests for word-alignment realignment and the source-grouped dataset split."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,18 @@ class TestFileFormats:
         p = tmp_path / "bad.ctm"
         p.write_text("ep1 1 0.0 0.3\n", encoding="utf-8")
         with pytest.raises(InvalidConfig):
+            read_ctm(p)
+
+    @pytest.mark.parametrize("row", [
+        "ep1 1 abc 0.30 the",    # start does not parse
+        "ep1 1 0.50 x the",      # duration does not parse
+        "ep1 1 0.50 -0.30 the",  # reversed
+        "ep1 1 nan 0.30 the",
+    ])
+    def test_ctm_bad_time_names_the_line(self, tmp_path, row):
+        p = tmp_path / "bad.ctm"
+        p.write_text("ep1 1 0.00 0.30 a\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(InvalidConfig, match=re.escape(f"{p}:2:")):
             read_ctm(p)
 
     def test_manifest_roundtrip(self, tmp_path):

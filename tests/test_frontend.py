@@ -1,4 +1,4 @@
-"""Audio decoding, MFCC, CMVN, and FEAT serialization."""
+"""Audio decoding, MFCC and CMVN."""
 import struct
 import tracemalloc
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from speechseg import frontend
 from speechseg.errors import (
     AudioTooShort,
-    BadMagic,
     ChannelMismatch,
     InvalidConfig,
     TruncatedFile,
@@ -23,9 +22,7 @@ from speechseg.frontend import (
     apply_cmvn,
     compute_mfcc,
     frame_count,
-    read_features,
     read_wav,
-    write_features,
     write_wav,
 )
 from speechseg.synth import make_silence, make_speech_then_tone
@@ -193,8 +190,6 @@ class TestMfcc:
             compute_mfcc(sine(440, 0.5), MfccConfig(num_ceps=50))
         with pytest.raises(InvalidConfig):
             compute_mfcc(sine(440, 0.5), MfccConfig(frame_shift_ms=30))
-        with pytest.raises(InvalidConfig):
-            compute_mfcc(sine(440, 0.5), MfccConfig(window="kaiser"))
 
 
 # -----------------------------------------------------------------------------
@@ -336,45 +331,3 @@ class TestBlocks:
         sizes = [b - a for a, b in spans]
         assert max(sizes) <= frontend.FRONTEND_BLOCK_FRAMES
         assert min(sizes) >= min(n, frontend.FRONTEND_BLOCK_FRAMES // 2)
-
-
-# -----------------------------------------------------------------------------
-# FEAT serialization
-# -----------------------------------------------------------------------------
-
-class TestFeatFormat:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        feats = FeatureMatrix(rng.standard_normal((57, 30)), 0.01)
-        path = tmp_path / "x.feat"
-        write_features(feats, path)
-        back = read_features(path)
-        assert back.num_frames == 57 and back.dim == 30
-        assert back.frame_shift_s == 0.01
-        np.testing.assert_array_equal(
-            back.rows, feats.rows.astype(np.float32).astype(np.float64)
-        )
-
-    def test_layout(self, tmp_path):
-        feats = FeatureMatrix(np.arange(6, dtype=float).reshape(2, 3), 0.01)
-        path = tmp_path / "x.feat"
-        write_features(feats, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"FEAT"
-        assert struct.unpack_from("<II", raw, 4) == (2, 3)
-        assert struct.unpack_from("<d", raw, 12)[0] == 0.01
-        assert len(raw) == 4 + 4 + 4 + 8 + 2 * 3 * 4
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.feat"
-        path.write_bytes(b"NOPE" + b"\x00" * 30)
-        with pytest.raises(BadMagic):
-            read_features(path)
-
-    def test_truncated(self, tmp_path):
-        feats = FeatureMatrix(np.zeros((20, 30)), 0.01)
-        path = tmp_path / "x.feat"
-        write_features(feats, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(TruncatedFile):
-            read_features(path)

@@ -232,6 +232,30 @@ class TestRunPipeline:
             assert seg.start_s in kept_starts
             assert seg.end_s in kept_ends
 
+    def test_strategies_agree_on_window_decisions(
+        self, net, model, fixture_audio
+    ):
+        res = {
+            s: run_pipeline(fixture_audio, PipelineConfig(strategy=s),
+                            model=model, net=net).decisions
+            for s in STRATEGIES
+        }
+        cut = PipelineConfig(strategy="baseline").vad_probability_threshold
+        filt, seg = res["xvector_filt"], res["xvector_seg_filt"]
+
+        def window(d):
+            return d.start_s, d.end_s, d.probability, d.label
+
+        assert [window(d) for d in filt] == [window(d) for d in seg]
+        assert {d.label for d in filt} == {"speech", "noise"}
+        for d in filt:
+            assert (d.cluster == -1) == (d.probability < cut)
+        assert all(d.cluster >= 0 for d in seg)
+        assert res["baseline"]
+        for d in res["baseline"]:
+            assert d.label == ("speech" if d.probability >= cut else "noise")
+            assert d.cluster >= 0
+
     def test_seg_filt_noise_proportion_bound(self, net, model, fixture_audio):
         cfg = PipelineConfig(strategy="xvector_seg_filt")
         res = run_pipeline(fixture_audio, cfg, model=model, net=net)
