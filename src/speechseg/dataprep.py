@@ -31,6 +31,11 @@ class WordAlignment:
     file_id: str
 
     def __post_init__(self):
+        if not (np.isfinite(self.start_s) and np.isfinite(self.end_s)):
+            raise InvalidConfig(
+                f"word {self.word!r}: times must be finite, got start "
+                f"{self.start_s} and end {self.end_s}"
+            )
         if not self.end_s > self.start_s:
             raise InvalidConfig(
                 f"word {self.word!r}: end {self.end_s} must exceed start "

@@ -136,11 +136,18 @@ class FeatureMatrix:
 # WAV container
 # -----------------------------------------------------------------------------
 
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Every KSDATAFORMAT_SUBTYPE GUID ends the same way; its first two bytes
+# hold the plain format tag (1 for PCM, 3 for IEEE float).
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
 def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
     """Decode a RIFF/WAVE file holding PCM16 or IEEE float samples.
 
-    Multi-channel files are averaged to mono only when ``downmix`` is set;
-    otherwise they are rejected with ChannelMismatch.
+    WAVE_FORMAT_EXTENSIBLE files are read by the format tag in their
+    SubFormat GUID. Multi-channel files are averaged to mono only when
+    ``downmix`` is set; otherwise they are rejected with ChannelMismatch.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -158,6 +165,19 @@ def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
             if len(body) < 16:
                 raise TruncatedFile(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
+                if len(body) < 40:
+                    raise TruncatedFile(
+                        f"{path}: extensible fmt chunk of {len(body)} bytes, "
+                        "need 40"
+                    )
+                guid = bytes(body[24:40])
+                if guid[2:] != _SUBFORMAT_GUID_TAIL:
+                    raise UnsupportedEncoding(
+                        f"{path}: extensible SubFormat {guid.hex()} is not "
+                        "PCM or IEEE float"
+                    )
+                fmt = struct.unpack_from("<H", guid) + fmt[1:]
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise TruncatedFile(

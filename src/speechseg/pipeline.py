@@ -136,6 +136,18 @@ def cluster_ahc(
     from 0 in order of first appearance. Probabilities default to 1.0 when
     the caller has none.
 
+    Each row caches its nearest cluster (nn, the lowest column holding
+    the row's minimum) and that distance (nd), after Müllner 2011
+    (arXiv:1109.2378). The closest pair is then argmin(nd) and its cached
+    column, which is the pair a row-major scan of the whole matrix would
+    pick, ties included. A merge updates the matrix with the same
+    Lance-Williams arithmetic as a full scan would, rescans only the rows
+    whose cached nearest was one of the merged pair, and compares every
+    other row against the merged column. Memory is the O(n^2) distance
+    matrix; time is about O(n^2) in practice, and O(n^3) only when most
+    rows point at the merged pair on most merges. The merge sequence and
+    every distance are those of the full scan, so the partition is too.
+
     center subtracts the mean embedding before measuring distances (the
     vectors themselves are returned untouched). Raw embeddings of very
     different content can sit within a few degrees of each other, so the
@@ -160,10 +172,13 @@ def cluster_ahc(
 
     sizes = np.ones(n)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    live = np.ones(n, dtype=bool)
+    nn = dist.argmin(axis=1)
+    nd = dist[np.arange(n), nn]
     while len(members) > 1:
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, n)  # row-major scan lands on lowest (i, j)
-        if dist[i, j] > distance_threshold:
+        i = int(np.argmin(nd))  # lowest row holding the global minimum
+        j = int(nn[i])
+        if nd[i] > distance_threshold:
             break
         merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (
             sizes[i] + sizes[j]
@@ -175,6 +190,21 @@ def cluster_ahc(
         dist[:, j] = np.inf
         sizes[i] += sizes[j]
         members[i].extend(members.pop(j))
+        live[j] = False
+        nd[j] = np.inf
+
+        stale = live & ((nn == i) | (nn == j))
+        stale[i] = True
+        # average linkage is reducible, so merged >= nd holds exactly for
+        # every other row; only rounding can move one to column i
+        closer = live & ~stale & (
+            (merged < nd) | ((merged == nd) & (nn > i))
+        )
+        nn[closer] = i
+        nd[closer] = merged[closer]
+        rows = np.flatnonzero(stale)
+        nn[rows] = dist[rows].argmin(axis=1)
+        nd[rows] = dist[rows, nn[rows]]
 
     id_of = {}
     for cid, group in enumerate(sorted(members.values(), key=min)):

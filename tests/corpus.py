@@ -6,7 +6,11 @@ majority content (speech iff the proxy covers more than half the clip),
 so a classifier trained on them learns to call boundary-straddling
 windows by what dominates, which keeps segment edges within one stride
 of the truth.
+
+extensible_wav rewraps a plain WAV for the reader tests.
 """
+import struct
+
 import numpy as np
 
 from speechseg.classifier import LabeledEmbedding
@@ -53,3 +57,25 @@ def training_embeddings(net, n_per_class, seed=0):
             out.append(LabeledEmbedding(embed_clip(net, audio).values, label))
             have[label] += 1
     return out
+
+
+def extensible_wav(plain: bytes, fmt_size=40, subformat_tag=None) -> bytes:
+    """Rewrap a canonical 44-byte-header WAV as WAVE_FORMAT_EXTENSIBLE.
+
+    The fmt chunk is cut to fmt_size bytes; the SubFormat GUID carries
+    subformat_tag (default: the plain file's own format tag).
+    """
+    tag, channels, rate, byte_rate, align, bits = struct.unpack_from(
+        "<HHIIHH", plain, 20
+    )
+    guid = struct.pack("<H", subformat_tag or tag) + bytes.fromhex(
+        "000000001000800000aa00389b71"
+    )
+    fmt = struct.pack(
+        "<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, align, bits,
+        22, bits, 4,
+    ) + guid
+    fmt = fmt[:fmt_size]
+    data = plain[36:]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body

@@ -237,3 +237,43 @@ def ref_window_spans(total_s, window_s=1.5, stride_s=0.75, min_window_s=0.5):
     if not covered and tail >= min_window_s:
         spans.append((k * stride_s, total_s))
     return spans
+
+
+def ref_cluster_ahc(values, distance_threshold, center=False):
+    """Average-linkage AHC by a full-matrix scan per merge.
+
+    Each merge takes the row-major argmin of the whole cosine-distance
+    matrix (lowest (i, j) on ties) and applies the Lance-Williams update.
+    Returns dense cluster ids in order of first appearance.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n = len(x)
+    if center and n >= 3:
+        x = x - x.mean(axis=0)
+    norms = np.linalg.norm(x, axis=1)
+    unit = x / np.where(norms > 0, norms, 1.0)[:, None]
+    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    np.fill_diagonal(dist, np.inf)
+
+    sizes = np.ones(n)
+    members = {i: [i] for i in range(n)}
+    while len(members) > 1:
+        i, j = divmod(int(np.argmin(dist)), n)
+        if dist[i, j] > distance_threshold:
+            break
+        merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (
+            sizes[i] + sizes[j]
+        )
+        dist[i, :] = merged
+        dist[:, i] = merged
+        dist[i, i] = np.inf
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        sizes[i] += sizes[j]
+        members[i].extend(members.pop(j))
+
+    ids = [0] * n
+    for cid, group in enumerate(sorted(members.values(), key=min)):
+        for t in group:
+            ids[t] = cid
+    return ids

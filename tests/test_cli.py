@@ -585,8 +585,15 @@ class TestDataCommands:
         assert len(segs) == entry["segments"] == 2
 
     def test_realign_unparsable_time_is_domain_error(self, tmp_path):
+        self._assert_bad_ctm_row_named(tmp_path, "rec1 1 abc 0.30 the")
+
+    def test_realign_infinite_time_is_domain_error(self, tmp_path):
+        self._assert_bad_ctm_row_named(tmp_path, "rec1 1 0.5 inf the")
+
+    @staticmethod
+    def _assert_bad_ctm_row_named(tmp_path, row):
         ctm = tmp_path / "bad.ctm"
-        ctm.write_text("rec1 1 abc 0.30 the\n", encoding="utf-8")
+        ctm.write_text(row + "\n", encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "speechseg.cli", "realign",
              "--ctm", str(ctm), "--out", str(tmp_path / "out")],

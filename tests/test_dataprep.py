@@ -219,6 +219,8 @@ class TestFileFormats:
         "ep1 1 0.50 x the",      # duration does not parse
         "ep1 1 0.50 -0.30 the",  # reversed
         "ep1 1 nan 0.30 the",
+        "ep1 1 0.50 inf the",    # infinite duration
+        "ep1 1 -inf 1.00 the",
     ])
     def test_ctm_bad_time_names_the_line(self, tmp_path, row):
         p = tmp_path / "bad.ctm"
@@ -247,3 +249,5 @@ class TestFileFormats:
     def test_word_alignment_validation(self):
         with pytest.raises(InvalidConfig):
             WordAlignment("bad", 1.0, 1.0, "f1")
+        with pytest.raises(InvalidConfig, match="finite"):
+            WordAlignment("bad", 1.0, float("inf"), "f1")

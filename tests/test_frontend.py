@@ -1,4 +1,5 @@
 """Audio decoding, MFCC and CMVN."""
+import re
 import struct
 import tracemalloc
 
@@ -27,6 +28,7 @@ from speechseg.frontend import (
 )
 from speechseg.synth import make_silence, make_speech_then_tone
 
+from corpus import extensible_wav
 from reference import ref_cmvn, ref_mfcc
 
 
@@ -110,6 +112,40 @@ class TestWav:
         )
         with pytest.raises(TruncatedFile, match=f"{size} bytes"):
             read_wav(path, downmix=True)
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_extensible_decodes_like_plain_tag(self, tmp_path, encoding):
+        plain = tmp_path / "plain.wav"
+        x = 0.9 * np.sin(np.linspace(0, 50, 3001))
+        write_wav(AudioBuffer(x, 16000), plain, encoding=encoding)
+        ext = tmp_path / "ext.wav"
+        ext.write_bytes(extensible_wav(plain.read_bytes()))
+        a, b = read_wav(plain), read_wav(ext)
+        assert b.sample_rate == a.sample_rate
+        assert b.samples.tobytes() == a.samples.tobytes()
+
+    @pytest.mark.parametrize("fmt_size", [18, 24, 38])
+    def test_short_extensible_fmt_is_truncated(self, tmp_path, fmt_size):
+        plain = tmp_path / "plain.wav"
+        write_wav(AudioBuffer(np.zeros(100), 16000), plain)
+        ext = tmp_path / "ext.wav"
+        ext.write_bytes(extensible_wav(plain.read_bytes(), fmt_size=fmt_size))
+        with pytest.raises(TruncatedFile, match=re.escape(str(ext))):
+            read_wav(ext)
+
+    def test_extensible_other_subformat_rejected(self, tmp_path):
+        plain = tmp_path / "plain.wav"
+        write_wav(AudioBuffer(np.zeros(100), 16000), plain)
+        ext = tmp_path / "ext.wav"
+        raw = extensible_wav(plain.read_bytes(), subformat_tag=2)  # ADPCM
+        ext.write_bytes(raw)
+        with pytest.raises(UnsupportedEncoding, match=re.escape(str(ext))):
+            read_wav(ext)
+        # right tag, but not a KSDATAFORMAT_SUBTYPE GUID
+        at = raw.index(bytes.fromhex("1000800000aa00389b71"))
+        ext.write_bytes(raw[:at] + b"\x11" + raw[at + 1:])
+        with pytest.raises(UnsupportedEncoding, match=re.escape(str(ext))):
+            read_wav(ext)
 
 
 def _wav_header(fmt_tag, channels, sr, bits, data_len):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechseg.classifier import TrainConfig, platt_calibrate
 from speechseg.errors import EmptyInput, InvalidConfig
@@ -29,6 +31,7 @@ from speechseg.synth import (
 from speechseg.xvector import XVector, make_test_net
 
 from corpus import training_embeddings
+from reference import ref_cluster_ahc
 
 SR = 16000
 DIM = 512
@@ -120,6 +123,56 @@ class TestClusterAhc:
             xv(basis(0, 100.0) - basis(1)),
         ]
         assert cluster_ahc(vecs, 0.35, center=True).cluster_ids == [0, 0]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from(["same", "scaled", "near", "axis", "fresh"]),
+                st.sampled_from([0.125, 0.5, 2.0, 3.0, 1000.0]),
+            ),
+            min_size=1, max_size=80,
+        ),
+        threshold=st.sampled_from([0.0, 0.35, 0.8, 2.0]),
+        center=st.booleans(),
+    )
+    def test_matches_full_scan_oracle(self, seed, rows, threshold, center):
+        # exact duplicates, positive multiples and shared axes give tied
+        # distances, so the lowest-(i, j) rule on ties is exercised
+        rng = np.random.default_rng(seed)
+        protos = rng.standard_normal((6, DIM))
+        vecs = []
+        for proto, kind, scale in rows:
+            if kind == "same":
+                v = protos[proto]
+            elif kind == "scaled":
+                v = scale * protos[proto]
+            elif kind == "near":
+                v = protos[proto] + 0.3 * rng.standard_normal(DIM)
+            elif kind == "axis":
+                v = basis(proto, scale)
+            else:
+                v = rng.standard_normal(DIM)
+            vecs.append(xv(v))
+        values = np.stack([v.values for v in vecs])
+        assert cluster_ahc(vecs, threshold, center=center).cluster_ids == (
+            ref_cluster_ahc(values, threshold, center=center)
+        )
+
+    def test_rounding_tie_goes_to_lowest_column(self):
+        # window 0 is equally far from windows 2 and 3 (mirror images), and
+        # one ulp farther from window 1 (9 times window 3). Once 1 and 3
+        # merge at distance 0, the average rounds back down to the tie, so
+        # window 0's nearest becomes the lower column 1, as a full scan of
+        # the matrix finds. Every dot product here is exact.
+        up = np.r_[2.0, 9.0, 2.0, np.zeros(DIM - 3)]
+        down = np.r_[2.0, -9.0, 2.0, np.zeros(DIM - 3)]
+        vecs = [xv(basis(0)), xv(9.0 * down), xv(up), xv(down)]
+        values = np.stack([v.values for v in vecs])
+        assert ref_cluster_ahc(values, 0.8) == [0, 0, 1, 0]
+        assert cluster_ahc(vecs, 0.8).cluster_ids == [0, 0, 1, 0]
 
 
 class TestClusteredSequence:

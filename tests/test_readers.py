@@ -32,6 +32,8 @@ from speechseg.xvector import (
     save_weights,
 )
 
+from corpus import extensible_wav
+
 
 def tiny_net():
     rng = np.random.default_rng(0)
@@ -50,7 +52,8 @@ def tiny_net():
 
 
 READERS = {
-    "read_wav": read_wav, "load_weights": load_weights,
+    "read_wav": read_wav, "read_wav_extensible": read_wav,
+    "load_weights": load_weights,
     "load_archive": load_archive, "load_model": load_model,
     "read_tsv": read_tsv, "read_ctm": read_ctm,
     "read_manifest": read_manifest,
@@ -65,6 +68,9 @@ def valid_dir(tmp_path_factory):
     """One valid file per reader, named after the reader."""
     d = tmp_path_factory.mktemp("valid")
     write_wav(AudioBuffer(np.linspace(-0.5, 0.5, 80), 8000), d / "read_wav")
+    (d / "read_wav_extensible").write_bytes(
+        extensible_wav((d / "read_wav").read_bytes())
+    )
     save_weights(tiny_net(), d / "load_weights")
     save_archive(
         [XVector(np.full(EMBEDDING_DIM, 0.25), 0.0, 1.5),
