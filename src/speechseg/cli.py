@@ -68,6 +68,7 @@ from .xvector import (
     WEIGHTS_VERSION,
     ExtractionConfig,
     extract_sequence,
+    extract_streams,
     load_weights,
     make_test_net,
     save_archive,
@@ -115,14 +116,13 @@ def _features(path):
 def _embed_manifest(manifest, net, extraction):
     """(entry, x-vector) pairs, every window of every clip; clips shorter
     than the minimum window contribute nothing."""
-    pairs = []
-    for entry in read_manifest(manifest):
-        try:
-            vecs = extract_sequence(net, _features(entry.path), extraction)
-        except StreamTooShort:
-            vecs = []
-        pairs.extend((entry, v) for v in vecs)
-    return pairs
+    entries = read_manifest(manifest)
+    streams = extract_streams(
+        net, (_features(entry.path) for entry in entries), extraction
+    )
+    return [
+        (entry, v) for entry, vecs in zip(entries, streams) for v in vecs
+    ]
 
 
 def _labeled(pairs):

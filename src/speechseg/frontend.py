@@ -30,9 +30,15 @@ one after another. Blocks split the frames evenly, so no block has fewer
 than half a block of rows unless the whole input is that short: BLAS
 sums a matrix product of a few dozen rows with another kernel, whose
 last bits differ, and a short tail block would take it.
+
+The FFT size, Hamming window, mel filterbank and DCT matrix depend only on
+the (frozen) MfccConfig and the sample rate, so _mfcc_constants builds them
+once per pair and caches them read-only; a manifest of short clips would
+otherwise rebuild the filterbank for every clip.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -323,28 +329,42 @@ def _pre_emphasized(x: np.ndarray, a: int, b: int, coef: float) -> np.ndarray:
     return y
 
 
+@functools.lru_cache(maxsize=16)
+def _mfcc_constants(cfg: MfccConfig, sample_rate: int) -> tuple:
+    """(frame_len, shift, nfft, window, fbank, dct) for one config and
+    sample rate, built once; the arrays are read-only, since every caller
+    shares them."""
+    frame_len = round(cfg.frame_length_ms * sample_rate / 1000.0)
+    shift = round(cfg.frame_shift_ms * sample_rate / 1000.0)
+    nfft = 1
+    while nfft < frame_len:
+        nfft *= 2
+    arrays = (
+        _hamming(frame_len),
+        mel_filterbank(
+            cfg.num_mel_bins, nfft, sample_rate, cfg.low_freq_hz,
+            sample_rate / 2.0,
+        ),
+        dct_matrix(cfg.num_ceps, cfg.num_mel_bins),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (frame_len, shift, nfft, *arrays)
+
+
 def compute_mfcc(audio: AudioBuffer, cfg: MfccConfig = MfccConfig()) -> FeatureMatrix:
     """MFCC rows for every frame of ``audio``, computed one block of
     frames at a time; deterministic, and byte-identical to a single pass
     over the whole signal."""
     cfg.validate(audio.sample_rate)
-    frame_len = round(cfg.frame_length_ms * audio.sample_rate / 1000.0)
-    shift = round(cfg.frame_shift_ms * audio.sample_rate / 1000.0)
+    frame_len, shift, nfft, window, fbank, dct = _mfcc_constants(
+        cfg, audio.sample_rate
+    )
     signal = audio.samples
     if len(signal) < frame_len:
         raise AudioTooShort(
             f"{len(signal)} samples < one frame of {frame_len}"
         )
-
-    nfft = 1
-    while nfft < frame_len:
-        nfft *= 2
-    window = _hamming(frame_len)
-    fbank = mel_filterbank(
-        cfg.num_mel_bins, nfft, audio.sample_rate, cfg.low_freq_hz,
-        audio.sample_rate / 2.0,
-    )
-    dct = dct_matrix(cfg.num_ceps, cfg.num_mel_bins)
 
     T = frame_count(len(signal), frame_len, shift)
     blocks = _blocks(T)

@@ -47,6 +47,7 @@ from .xvector import (
     XVector,
     XVectorNet,
     extract_sequence,
+    extract_streams,
     load_weights,
 )
 
@@ -167,7 +168,10 @@ def cluster_ahc(
         x = x - x.mean(axis=0)
     norms = np.linalg.norm(x, axis=1)
     unit = x / np.where(norms > 0, norms, 1.0)[:, None]
-    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    # one n x n matrix: the subtraction and the clip run in place
+    dist = np.matmul(unit, unit.T)
+    np.subtract(1.0, dist, out=dist)
+    np.clip(dist, 0.0, 2.0, out=dist)
     np.fill_diagonal(dist, np.inf)
 
     sizes = np.ones(n)
@@ -390,18 +394,18 @@ def _run_baseline(audio, cfg, model, net):
 
     feats = _features(audio)
     shift = feats.frame_shift_s
-    vectors = []
-    owner = []  # index into vad_segments per vector
+    pieces = {}  # index into vad_segments -> its feature rows
     for k, seg in enumerate(vad_segments):
         a = int(round(seg.start_s / shift))
         b = min(int(round(seg.end_s / shift)), feats.num_frames)
-        if b <= a:
-            continue
-        piece = FeatureMatrix(feats.rows[a:b], shift, start_time_s=a * shift)
-        try:
-            got = extract_sequence(net, piece, cfg.extraction)
-        except StreamTooShort:
-            continue
+        if b > a:
+            pieces[k] = FeatureMatrix(
+                feats.rows[a:b], shift, start_time_s=a * shift
+            )
+    vectors = []
+    owner = []  # index into vad_segments per vector
+    streams = extract_streams(net, pieces.values(), cfg.extraction)
+    for k, got in zip(pieces, streams):
         for v in got:
             if not _silent_window(audio, v):
                 vectors.append(v)

@@ -23,7 +23,13 @@ from speechseg.cli import COMMANDS, main
 from speechseg.analysis import read_projection_csv
 from speechseg.dataprep import read_ctm, read_manifest
 from speechseg.errors import UnsupportedEncoding
-from speechseg.frontend import apply_cmvn, compute_mfcc, read_wav
+from speechseg.frontend import (
+    AudioBuffer,
+    apply_cmvn,
+    compute_mfcc,
+    read_wav,
+    write_wav,
+)
 from speechseg.metrics import read_condition_labels, read_transcripts
 from speechseg.segments import read_tsv
 from speechseg.xvector import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_archive
@@ -353,6 +359,42 @@ class TestModelCommands:
         model = load_model(out)
         assert model.calib_A == doc["calib_a"]
         assert model.decision_threshold == 0.5
+
+    def _train_with_extra_clip(self, work, tmp_path, samples):
+        """train on the shared manifest with one more clip of the given
+        samples in the middle: (exit code, stderr, model path)."""
+        clip = tmp_path / "extra.wav"
+        write_wav(AudioBuffer(samples, 16000), clip)
+        lines = (work / "train.tsv").read_text(encoding="utf-8").splitlines()
+        lines.insert(5, f"{clip}\tspeech\textra")
+        manifest = tmp_path / "train.tsv"
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = run(["train", "--manifest", str(manifest),
+                    "--net", str(work / "net.xvnw"), "--out", str(out)])
+        return code, out
+
+    def test_train_clip_shorter_than_a_frame(self, work, tmp_path, capsys):
+        code, out = self._train_with_extra_clip(
+            work, tmp_path, np.full(200, 0.1)
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "AudioTooShort" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_clip_shorter_than_a_window(self, work, tmp_path, capsys):
+        # 0.3 s: MFCC frames, but no 0.5 s window, so no embedding
+        rng = np.random.default_rng(0)
+        code, out = self._train_with_extra_clip(
+            work, tmp_path, 0.1 * rng.standard_normal(4800)
+        )
+        capsys.readouterr()
+        assert code == 0
+        alone = tmp_path / "alone.json"
+        assert run(["train", "--manifest", str(work / "train.tsv"),
+                    "--net", str(work / "net.xvnw"), "--out", str(alone)]) == 0
+        assert out.read_bytes() == alone.read_bytes()
 
     def test_calibrate_keeps_separator(self, work, tmp_path, run_json):
         out = tmp_path / "recal.json"

@@ -228,6 +228,29 @@ class TestMfcc:
             compute_mfcc(sine(440, 0.5), MfccConfig(frame_shift_ms=30))
 
 
+    def test_cached_constants_match_fresh_computation(self):
+        # two configs at two sample rates, interleaved, so every call after
+        # the first four reads another key's constants in between
+        configs = (MfccConfig(), MfccConfig(num_mel_bins=24, num_ceps=13))
+        keys = [(cfg, sr) for cfg in configs for sr in (8000, 16000)]
+        audio = {sr: sine(440, 0.5, sr=sr) for sr in (8000, 16000)}
+        fresh = {}
+        for cfg, sr in keys:
+            frontend._mfcc_constants.cache_clear()
+            fresh[cfg, sr] = compute_mfcc(audio[sr], cfg).rows.tobytes()
+        frontend._mfcc_constants.cache_clear()
+        for cfg, sr in keys + keys[::-1] + keys:
+            assert compute_mfcc(audio[sr], cfg).rows.tobytes() == fresh[cfg, sr]
+        assert frontend._mfcc_constants.cache_info().currsize == len(keys)
+
+    def test_cached_constants_read_only(self):
+        *_, window, fbank, dct = frontend._mfcc_constants(MfccConfig(), 16000)
+        for arr in (window, fbank, dct):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 # -----------------------------------------------------------------------------
 # CMVN
 # -----------------------------------------------------------------------------

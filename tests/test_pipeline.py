@@ -1,5 +1,6 @@
 """Clustering, probability filtering, and the three segmentation strategies."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ class TestClusterAhc:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             cluster_ahc([], 0.35)
+
+    def test_one_distance_matrix_at_a_time(self):
+        # the n x n float64 distance matrix is 8 MB here; the stacked and
+        # unit-norm embeddings add half a matrix each
+        n = 1000
+        rng = np.random.default_rng(5)
+        vecs = [xv(rng.standard_normal(DIM)) for _ in range(n)]
+        tracemalloc.start()
+        try:
+            cluster_ahc(vecs, 0.35, center=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechseg import xvector
@@ -20,12 +20,14 @@ from speechseg.errors import (
 from speechseg.frontend import FeatureMatrix
 from speechseg.xvector import (
     BLOCK_FRAMES,
+    PACK_FRAMES,
     AffineLayer,
     ExtractionConfig,
     StatsPool,
     XVector,
     XVectorNet,
     extract_sequence,
+    extract_streams,
     forward_window,
     load_archive,
     load_weights,
@@ -374,6 +376,108 @@ class TestExtraction:
     def test_bad_config(self):
         with pytest.raises(InvalidConfig):
             ExtractionConfig(window_s=1.0, stride_s=1.5)
+
+
+def per_stream(net, streams, cfg):
+    """extract_sequence on each stream alone; [] where it is too short."""
+    out = []
+    for feats in streams:
+        try:
+            out.append(extract_sequence(net, feats, cfg))
+        except StreamTooShort:
+            assert feats.span_s < cfg.min_window_s
+            out.append([])
+    return out
+
+
+def assert_same_vectors(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert [(v.window_start_s, v.window_end_s) for v in g] == [
+            (v.window_start_s, v.window_end_s) for v in w
+        ]
+        assert [v.values.tobytes() for v in g] == [v.values.tobytes() for v in w]
+
+
+# windows of 30 rows, and clamped tails of 10 to 29 rows: those shorter
+# than the nets' 15-frame receptive field take the padded path
+SHORT_WINDOWS = ExtractionConfig(window_s=0.3, stride_s=0.15, min_window_s=0.1)
+
+
+class TestStreams:
+    @given(
+        frames=st.lists(st.integers(30, 3100), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+        short_windows=st.booleans(),
+    )
+    @example(frames=[40, 150, BLOCK_FRAMES + 700, 49, 150], seed=1,
+             short_windows=False)
+    @example(frames=[150] * (PACK_FRAMES // 150 + 1) + [30], seed=2,
+             short_windows=False)
+    @settings(max_examples=40, deadline=None)
+    def test_packed_matches_per_stream(self, frames, seed, short_windows):
+        # streams below min_window_s (50 rows), streams sharing a block,
+        # and streams longer than one block, in any order
+        net = make_test_net(preset="small")
+        cfg = SHORT_WINDOWS if short_windows else ExtractionConfig()
+        rng = np.random.default_rng(seed)
+        streams = [
+            FeatureMatrix(rng.standard_normal((t, 30)), 0.01,
+                          start_time_s=0.01 * int(rng.integers(0, 10**5)))
+            for t in frames
+        ]
+        got = list(extract_streams(net, streams, cfg))
+        assert_same_vectors(got, per_stream(net, streams, cfg))
+
+    def test_standard_net_packed_matches_per_stream(self):
+        net = make_test_net(seed=3)
+        rng = np.random.default_rng(4)
+        streams = [
+            FeatureMatrix(rng.standard_normal((t, 30)), 0.01, start_time_s=s)
+            for t, s in ((150, 0.0), (49, 2.0), (420, 3.5), (3100, 9.0),
+                         (60, 45.0), (150, 47.0), (1337, 50.0))
+        ]
+        got = list(extract_streams(net, streams, ExtractionConfig()))
+        assert [len(g) for g in got] == [1, 0, 5, 41, 1, 1, 17]
+        assert_same_vectors(got, per_stream(net, streams, ExtractionConfig()))
+
+    def test_short_streams_share_blocks(self, monkeypatch):
+        passes = []
+        frame_layers = xvector._frame_layers
+
+        def record(net, x):
+            passes.append(len(x))
+            return frame_layers(net, x)
+
+        monkeypatch.setattr(xvector, "_frame_layers", record)
+        # clips of 150 rows, five to a block; a 1,600-row stream too long
+        # to pack, cut at a window start into 1,500 and 175 rows; then a
+        # clip that packs onto its last block
+        streams = [feats_of(1.5, seed=k) for k in range(12)]
+        streams += [feats_of(16.0, seed=12), feats_of(1.5, seed=13)]
+        got = list(extract_streams(make_test_net(preset="small"), streams))
+        assert [len(g) for g in got] == [1] * 12 + [21, 1]
+        assert PACK_FRAMES == 750
+        assert passes == [750, 750, 300, BLOCK_FRAMES, 175 + 150]
+
+    def test_reads_lazily(self):
+        # the first result is out once the first block is full, long
+        # before the input ends
+        pulled = []
+
+        def streams():
+            for k in range(100):
+                pulled.append(k)
+                yield feats_of(1.5, seed=k)
+
+        out = extract_streams(make_test_net(preset="small"), streams())
+        next(out)
+        assert len(pulled) == PACK_FRAMES // 150 + 1
+
+    def test_dim_mismatch(self):
+        streams = [feats_of(1.5), feats_of(1.5, dim=20)]
+        with pytest.raises(DimMismatch):
+            list(extract_streams(make_test_net(preset="small"), streams))
 
 
 # -----------------------------------------------------------------------------
