@@ -31,7 +31,6 @@ ENERGY_FLOOR = 1e-10
 class FrameDecisionTrack:
     decisions: np.ndarray
     frame_period_s: float = FRAME_PERIOD_S
-    start_time_s: float = 0.0
 
     def __post_init__(self):
         self.decisions = np.asarray(self.decisions, dtype=np.int8)
@@ -86,21 +85,17 @@ def median_filter(track: FrameDecisionTrack, width: int = 5) -> FrameDecisionTra
         k = min(width // 2, i, n - 1 - i)  # shrunken half-width at edges
         ones = prefix[i + k + 1] - prefix[i - k]
         out[i] = 1 if 2 * ones > 2 * k + 1 else 0
-    return FrameDecisionTrack(out, track.frame_period_s, track.start_time_s)
+    return FrameDecisionTrack(out, track.frame_period_s)
 
 
-def decisions_to_segments(
-    track: FrameDecisionTrack, label: str = "speech"
-) -> list[Segment]:
-    """Maximal runs of 1-frames as [start, end) segments on the frame grid."""
+def decisions_to_segments(track: FrameDecisionTrack) -> list[Segment]:
+    """Maximal runs of 1-frames as [start, end) "speech" segments on the
+    frame grid."""
     x = np.concatenate([[0], track.decisions, [0]])
     starts = np.nonzero(np.diff(x) == 1)[0]
     ends = np.nonzero(np.diff(x) == -1)[0]
     p = track.frame_period_s
-    t0 = track.start_time_s
-    return [
-        Segment(t0 + a * p, t0 + b * p, label) for a, b in zip(starts, ends)
-    ]
+    return [Segment(a * p, b * p, "speech") for a, b in zip(starts, ends)]
 
 
 def merge_segments(
@@ -122,8 +117,7 @@ def merge_segments(
         if at is not None and seg.start_s - out[at].end_s <= max_gap_s:
             prev = out[at]
             out[at] = Segment(
-                prev.start_s, max(prev.end_s, seg.end_s), prev.label,
-                prev.score,
+                prev.start_s, max(prev.end_s, seg.end_s), prev.label
             )
         else:
             last_by_label[seg.label] = len(out)

@@ -1,11 +1,13 @@
 """Speech/noise classifier: L1 normalizer, linear SVM, Platt calibration.
 
-Training solves the L2-regularized hinge-loss SVM in its dual with
-coordinate descent (the bias enters as an extra always-one feature).
-Probability calibration fits the sigmoid p = 1 / (1 + exp(A*s + B)) on
-out-of-fold decision scores from a stratified cross-validation, using the
-standard smoothed targets and a damped Newton solver. The per-epoch dual
-objective is recorded during SVM training and never increases.
+Training data is an N x D matrix of embeddings with one "speech" or
+"noise" label per row. Training solves the L2-regularized hinge-loss SVM
+in its dual with coordinate descent (the bias enters as an extra
+always-one feature). Probability calibration fits the sigmoid
+p = 1 / (1 + exp(A*s + B)) on out-of-fold decision scores from a
+stratified cross-validation, using the standard smoothed targets and a
+damped Newton solver. The per-epoch dual objective is recorded during SVM
+training and never increases.
 """
 from __future__ import annotations
 
@@ -34,22 +36,6 @@ SPEECH, NOISE = "speech", "noise"
 MODEL_FORMAT_VERSION = 1
 # keys a model file must carry; the training provenance keys are optional
 MODEL_KEYS = ("w", "b", "calib_A", "calib_B", "decision_threshold")
-
-
-@dataclass(frozen=True)
-class LabeledEmbedding:
-    values: np.ndarray
-    label: str
-    source_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
-        if not np.isfinite(self.values).all():
-            raise NonFiniteInput("embedding contains non-finite values")
-        if self.label not in (SPEECH, NOISE):
-            raise InvalidConfig(f"label must be speech or noise, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -129,26 +115,44 @@ def l1_normalize(x: np.ndarray) -> np.ndarray:
 # SVM training
 # -----------------------------------------------------------------------------
 
-def _design_matrix(data: list[LabeledEmbedding]):
-    x = np.stack([l1_normalize(d.values) for d in data])
-    y = np.array([1.0 if d.label == SPEECH else -1.0 for d in data])
+def _targets(labels, n: int) -> np.ndarray:
+    """+1 for speech and -1 for noise, one per row of an n-row matrix."""
+    if len(labels) != n:
+        raise DimMismatch(f"{len(labels)} labels for {n} rows")
+    for lab in labels:
+        if lab not in (SPEECH, NOISE):
+            raise InvalidConfig(
+                f"label must be speech or noise, got {str(lab)!r}"
+            )
+    return np.array([1.0 if lab == SPEECH else -1.0 for lab in labels])
+
+
+def _design_matrix(x: np.ndarray, labels):
+    """L1-normalized rows (non-finite values rejected) and their targets."""
+    x = np.asarray(x, dtype=np.float64)
+    y = _targets(labels, len(x))
     if (y > 0).all() or (y < 0).all():
         raise SingleClassData("training data must contain both classes")
-    return x, y
+    out = np.empty_like(x)
+    for i, row in enumerate(x):
+        out[i] = l1_normalize(row)
+    return out, y
 
 
 def train_linear_svm(
-    data: list[LabeledEmbedding],
+    x: np.ndarray,
+    labels,
     cfg: TrainConfig = TrainConfig(),
     history: list | None = None,
 ) -> tuple[np.ndarray, float]:
     """Dual coordinate descent for the L1-hinge linear SVM.
 
-    Inputs are L1-normalized internally. Returns (w, b); when a list is
-    passed as ``history``, the dual objective after each epoch is appended
-    to it (non-increasing by construction).
+    x holds one embedding per row, labeled speech or noise by labels; rows
+    are L1-normalized internally. Returns (w, b); when a list is passed as
+    ``history``, the dual objective after each epoch is appended to it
+    (non-increasing by construction).
     """
-    x, y = _design_matrix(data)
+    x, y = _design_matrix(x, labels)
     n, dim = x.shape
     # bias as a constant feature: w_aug = [w, b]
     xa = np.concatenate([x, np.ones((n, 1))], axis=1)
@@ -265,10 +269,12 @@ def _fit_sigmoid(scores: np.ndarray, is_pos: np.ndarray):
 
 
 def platt_calibrate(
-    data: list[LabeledEmbedding], cfg: TrainConfig = TrainConfig()
+    x: np.ndarray, labels, cfg: TrainConfig = TrainConfig()
 ) -> CalibratedLinearModel:
-    """Out-of-fold scores -> sigmoid fit; final SVM retrained on all data."""
-    x, y = _design_matrix(data)
+    """Out-of-fold scores -> sigmoid fit; final SVM retrained on all rows."""
+    raw = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    x, y = _design_matrix(raw, labels)
     n_pos = int((y > 0).sum())
     n_neg = int((y < 0).sum())
     if min(n_pos, n_neg) < cfg.folds:
@@ -281,9 +287,8 @@ def platt_calibrate(
     scores = np.empty(len(y))
     for fold in range(cfg.folds):
         held = assignment == fold
-        train = [d for d, h in zip(data, held) if not h]
         fold_cfg = replace(cfg, seed=cfg.seed + 1000 * (fold + 1))
-        w, b = train_linear_svm(train, fold_cfg)
+        w, b = train_linear_svm(raw[~held], labels[~held], fold_cfg)
         scores[held] = x[held] @ w + b
 
     if scores.max() - scores.min() < 1e-12:
@@ -295,7 +300,7 @@ def platt_calibrate(
             "the classes"
         )
 
-    w, b = train_linear_svm(data, cfg)
+    w, b = train_linear_svm(raw, labels, cfg)
     return CalibratedLinearModel(
         w, b, a, b_cal,
         decision_threshold=0.5,
@@ -304,18 +309,18 @@ def platt_calibrate(
 
 
 def recalibrate(
-    model: CalibratedLinearModel, data: list[LabeledEmbedding]
+    model: CalibratedLinearModel, x: np.ndarray, labels
 ) -> CalibratedLinearModel:
-    """Refit only the sigmoid on fresh labels, keeping the separator.
+    """Refit only the sigmoid on fresh labeled rows, keeping the separator.
 
     For when the decision boundary still holds but the score-to-
     probability mapping has drifted (new recording conditions). Needs
     both classes present and scores that actually separate them.
     """
-    is_pos = np.array([d.label == SPEECH for d in data], dtype=bool)
+    is_pos = _targets(labels, len(x)) > 0
     if is_pos.all() or not is_pos.any():
         raise SingleClassData("recalibration needs both classes")
-    scores = np.array([model.raw_score(d.values) for d in data])
+    scores = np.array([model.raw_score(row) for row in x])
     if scores.max() - scores.min() < 1e-12:
         raise CalibrationDegenerate("all recalibration scores identical")
     a, b_cal = _fit_sigmoid(scores, is_pos)
@@ -330,12 +335,6 @@ def recalibrate(
         train_C=model.train_C, train_folds=model.train_folds,
         train_seed=model.train_seed,
     )
-
-
-def predict(model: CalibratedLinearModel, x: np.ndarray) -> tuple[str, float]:
-    """(label, probability); speech iff probability >= decision threshold."""
-    p = model.probability(x)
-    return (SPEECH if p >= model.decision_threshold else NOISE), p
 
 
 # -----------------------------------------------------------------------------

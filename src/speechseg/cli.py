@@ -23,7 +23,6 @@ from . import __version__
 from .analysis import pca_reduce, tsne_embed, write_projection_csv
 from .classifier import (
     MODEL_FORMAT_VERSION,
-    LabeledEmbedding,
     TrainConfig,
     load_model,
     platt_calibrate,
@@ -113,22 +112,22 @@ def _features(path):
     return apply_cmvn(compute_mfcc(read_wav(path)))
 
 
-def _embed_manifest(manifest, net, extraction):
-    """(entry, x-vector) pairs, every window of every clip; clips shorter
-    than the minimum window contribute nothing."""
-    entries = read_manifest(manifest)
+def _embed_manifest(cfg, net):
+    """(x, owners): the x-vectors of every window of every clip of the
+    --manifest as float64 rows, and the manifest entry of each row. Clips
+    shorter than the minimum window contribute nothing."""
+    entries = read_manifest(cfg["manifest"])
     streams = extract_streams(
-        net, (_features(entry.path) for entry in entries), extraction
+        net, (_features(entry.path) for entry in entries),
+        _extraction_config(cfg),
     )
-    return [
-        (entry, v) for entry, vecs in zip(entries, streams) for v in vecs
-    ]
-
-
-def _labeled(pairs):
-    return [
-        LabeledEmbedding(v.values, e.label, e.source_id) for e, v in pairs
-    ]
+    rows, owners = [], []
+    for entry, vecs in zip(entries, streams):
+        rows.extend(v.values for v in vecs)
+        owners.extend([entry] * len(vecs))
+    if not rows:
+        raise EmptyInput("manifest produced no embeddings")
+    return np.array(rows, dtype=np.float64), owners
 
 
 def _gather_inputs(cfg):
@@ -208,9 +207,8 @@ def _cmd_extract(cfg):
 
 def _cmd_train(cfg):
     net = load_weights(cfg["net"])
-    data = _labeled(
-        _embed_manifest(cfg["manifest"], net, _extraction_config(cfg))
-    )
+    x, owners = _embed_manifest(cfg, net)
+    labels = [e.label for e in owners]
     train_cfg = TrainConfig(
         C=cfg["svm_c"],
         max_iter=cfg["max_iter"],
@@ -218,14 +216,14 @@ def _cmd_train(cfg):
         folds=cfg["folds"],
         seed=cfg["seed"],
     )
-    model = platt_calibrate(data, train_cfg)
+    model = platt_calibrate(x, labels, train_cfg)
     save_model(model, cfg["out"])
     return {
         "manifest": cfg["manifest"],
         "net": cfg["net"],
         "out": cfg["out"],
-        "n_speech": sum(1 for d in data if d.label == "speech"),
-        "n_noise": sum(1 for d in data if d.label == "noise"),
+        "n_speech": labels.count("speech"),
+        "n_noise": labels.count("noise"),
         "calib_a": float(model.calib_A),
         "calib_b": float(model.calib_B),
         "decision_threshold": float(model.decision_threshold),
@@ -235,18 +233,17 @@ def _cmd_train(cfg):
 def _cmd_calibrate(cfg):
     model = load_model(cfg["model"])
     net = load_weights(cfg["net"])
-    data = _labeled(
-        _embed_manifest(cfg["manifest"], net, _extraction_config(cfg))
-    )
-    updated = recalibrate(model, data)
+    x, owners = _embed_manifest(cfg, net)
+    labels = [e.label for e in owners]
+    updated = recalibrate(model, x, labels)
     save_model(updated, cfg["out"])
     return {
         "model": cfg["model"],
         "manifest": cfg["manifest"],
         "net": cfg["net"],
         "out": cfg["out"],
-        "n_speech": sum(1 for d in data if d.label == "speech"),
-        "n_noise": sum(1 for d in data if d.label == "noise"),
+        "n_speech": labels.count("speech"),
+        "n_noise": labels.count("noise"),
         "calib_a": float(updated.calib_A),
         "calib_b": float(updated.calib_B),
     }
@@ -255,12 +252,10 @@ def _cmd_calibrate(cfg):
 def _cmd_threshold(cfg):
     model = load_model(cfg["model"])
     net = load_weights(cfg["net"])
-    data = _labeled(
-        _embed_manifest(cfg["manifest"], net, _extraction_config(cfg))
-    )
+    x, owners = _embed_manifest(cfg, net)
     scored = [
-        (model.probability(d.values), 1 if d.label == "speech" else 0)
-        for d in data
+        (model.probability(row), 1 if e.label == "speech" else 0)
+        for row, e in zip(x, owners)
     ]
     report = select_threshold(scored, cfg["target_fpr"])
     if cfg["out"] is not None:
@@ -426,12 +421,9 @@ def _cmd_split(cfg):
 
 def _cmd_reduce(cfg):
     net = load_weights(cfg["net"])
-    pairs = _embed_manifest(cfg["manifest"], net, _extraction_config(cfg))
-    if not pairs:
-        raise EmptyInput("manifest produced no embeddings")
-    x = np.stack([v.values for _, v in pairs]).astype(np.float64)
-    labels = [e.label for e, _ in pairs]
-    sources = [e.source_id for e, _ in pairs]
+    x, owners = _embed_manifest(cfg, net)
+    labels = [e.label for e in owners]
+    sources = [e.source_id for e in owners]
     pca = pca_reduce(x, cfg["target_variance"])
     ts = tsne_embed(
         pca.reduced, cfg["perplexity"], cfg["iters"], cfg["seed"]
@@ -441,7 +433,7 @@ def _cmd_reduce(cfg):
         "manifest": cfg["manifest"],
         "net": cfg["net"],
         "out": cfg["out"],
-        "n": len(pairs),
+        "n": len(owners),
         "input_dim": int(x.shape[1]),
         "pca_k": int(pca.k),
         "target_variance": cfg["target_variance"],
@@ -700,6 +692,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _typed(o: Opt, value):
+    """A config document's value for o, checked against o.typ: an int is
+    taken for a float, a bool never for a number, and null only where the
+    default is null."""
+    if value is None and o.default is None:
+        return None
+    if o.typ is float and type(value) is int:
+        return float(value)
+    if isinstance(value, o.typ) and (o.typ is bool) == (type(value) is bool):
+        return value
+    raise UsageError(
+        f"config key {o.key!r} must be {o.typ.__name__}, "
+        f"got {json.dumps(value)}"
+    )
+
+
 def _resolve(args) -> dict:
     opts = args.options
     cfg = {o.key: o.default for o in opts}
@@ -716,14 +724,7 @@ def _resolve(args) -> dict:
         for key, value in doc.items():
             if key not in by_key:
                 raise UsageError(f"unknown config key {key!r}")
-            o = by_key[key]
-            if (
-                o.typ is float
-                and isinstance(value, int)
-                and not isinstance(value, bool)
-            ):
-                value = float(value)
-            cfg[key] = value
+            cfg[key] = _typed(by_key[key], value)
     for o in opts:
         value = getattr(args, o.key)
         if value is not None:

@@ -21,7 +21,7 @@ class UnsupportedEncoding(SpeechSegError):
 
 
 class ChannelMismatch(SpeechSegError):
-    """Multi-channel audio supplied without the downmix flag."""
+    """Multi-channel audio where mono is required."""
 
 
 class TruncatedFile(SpeechSegError):

@@ -31,16 +31,19 @@ than half a block of rows unless the whole input is that short: BLAS
 sums a matrix product of a few dozen rows with another kernel, whose
 last bits differ, and a short tail block would take it.
 
-The FFT size, Hamming window, mel filterbank and DCT matrix depend only on
-the (frozen) MfccConfig and the sample rate, so _mfcc_constants builds them
-once per pair and caches them read-only; a manifest of short clips would
-otherwise rebuild the filterbank for every clip.
+The analysis settings are module constants: 25 ms frames every 10 ms,
+pre-emphasis 0.97, 40 mel bins from 20 Hz, 30 cepstra, and a 301-frame
+CMVN window. The FFT size, Hamming window, mel filterbank and DCT matrix
+then depend only on the sample rate, so _mfcc_constants builds them once
+per rate and caches them read-only; a manifest of short clips would
+otherwise rebuild the filterbank for every clip. A rate too low to give
+a frame of 2 samples and a shift of 1 is rejected there.
 """
 from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +57,14 @@ from .errors import (
     UnsupportedEncoding,
 )
 
+FRAME_LENGTH_MS = 25.0
+FRAME_SHIFT_MS = 10.0
+NUM_MEL_BINS = 40
+NUM_CEPS = 30
+PRE_EMPHASIS = 0.97
+LOW_FREQ_HZ = 20.0
 LOG_ENERGY_FLOOR = 1e-10
+CMVN_WINDOW_FRAMES = 301
 
 # frames per block of compute_mfcc and rows per block of apply_cmvn
 FRONTEND_BLOCK_FRAMES = 2048
@@ -81,32 +91,6 @@ class AudioBuffer:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class MfccConfig:
-    frame_length_ms: float = 25.0
-    frame_shift_ms: float = 10.0
-    num_mel_bins: int = 40
-    num_ceps: int = 30
-    pre_emphasis: float = 0.97
-    low_freq_hz: float = 20.0
-
-    def validate(self, sample_rate: int) -> None:
-        if self.num_ceps > self.num_mel_bins:
-            raise InvalidConfig(
-                f"num_ceps {self.num_ceps} exceeds num_mel_bins {self.num_mel_bins}"
-            )
-        if self.frame_shift_ms > self.frame_length_ms:
-            raise InvalidConfig("frame_shift_ms must not exceed frame_length_ms")
-        if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
-            raise InvalidConfig("frame length and shift must be positive")
-        if self.num_mel_bins < 2 or self.num_ceps < 1:
-            raise InvalidConfig("need at least 2 mel bins and 1 cepstral coefficient")
-        if not 0.0 <= self.pre_emphasis < 1.0:
-            raise InvalidConfig("pre_emphasis must lie in [0, 1)")
-        if self.low_freq_hz < 0 or self.low_freq_hz >= sample_rate / 2:
-            raise InvalidConfig("low_freq_hz must lie in [0, Nyquist)")
 
 
 @dataclass
@@ -148,12 +132,11 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
-def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
-    """Decode a RIFF/WAVE file holding PCM16 or IEEE float samples.
+def read_wav(path: str | Path) -> AudioBuffer:
+    """Decode a mono RIFF/WAVE file holding PCM16 or IEEE float samples.
 
     WAVE_FORMAT_EXTENSIBLE files are read by the format tag in their
-    SubFormat GUID. Multi-channel files are averaged to mono only when
-    ``downmix`` is set; otherwise they are rejected with ChannelMismatch.
+    SubFormat GUID. Multi-channel files are rejected with ChannelMismatch.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -214,15 +197,12 @@ def read_wav(path: str | Path, downmix: bool = False) -> AudioBuffer:
             f"of {channels}-channel {bits}-bit frames"
         )
 
+    if channels > 1:
+        raise ChannelMismatch(f"{path}: {channels} channels; need mono")
+
     values = np.frombuffer(data, dtype=dtype).astype(np.float64)
     if audio_format == 1:
         values /= 32768.0
-    if channels > 1:
-        if not downmix:
-            raise ChannelMismatch(
-                f"{path}: {channels} channels; pass downmix=True to average"
-            )
-        values = values.reshape(-1, channels).mean(axis=1)
 
     return AudioBuffer(np.clip(values, -1.0, 1.0, out=values), sample_rate)
 
@@ -317,10 +297,10 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _pre_emphasized(x: np.ndarray, a: int, b: int, coef: float) -> np.ndarray:
-    """Samples [a, b) of y[n] = x[n] - coef*x[n-1], y[0] = x[0]*(1 - coef)."""
-    if coef == 0:
-        return x[a:b]
+def _pre_emphasized(x: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Samples [a, b) of y[n] = x[n] - coef*x[n-1], y[0] = x[0]*(1 - coef),
+    with coef = PRE_EMPHASIS."""
+    coef = PRE_EMPHASIS
     if a > 0:
         return x[a:b] - coef * x[a - 1 : b - 1]
     y = np.empty(b)
@@ -330,35 +310,39 @@ def _pre_emphasized(x: np.ndarray, a: int, b: int, coef: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _mfcc_constants(cfg: MfccConfig, sample_rate: int) -> tuple:
-    """(frame_len, shift, nfft, window, fbank, dct) for one config and
-    sample rate, built once; the arrays are read-only, since every caller
-    shares them."""
-    frame_len = round(cfg.frame_length_ms * sample_rate / 1000.0)
-    shift = round(cfg.frame_shift_ms * sample_rate / 1000.0)
+def _mfcc_constants(sample_rate: int) -> tuple:
+    """(frame_len, shift, nfft, window, fbank, dct) for one sample rate,
+    built once; the arrays are read-only, since every caller shares them.
+    A rate whose frame is shorter than 2 samples (a 1-sample Hamming
+    window is 0/0) or whose shift rounds to 0 is rejected."""
+    frame_len = round(FRAME_LENGTH_MS * sample_rate / 1000.0)
+    shift = round(FRAME_SHIFT_MS * sample_rate / 1000.0)
+    if frame_len < 2 or shift < 1:
+        raise InvalidConfig(
+            f"sample rate {sample_rate} Hz gives a {frame_len}-sample frame "
+            f"and a {shift}-sample shift; need at least 2 and 1"
+        )
     nfft = 1
     while nfft < frame_len:
         nfft *= 2
     arrays = (
         _hamming(frame_len),
         mel_filterbank(
-            cfg.num_mel_bins, nfft, sample_rate, cfg.low_freq_hz,
-            sample_rate / 2.0,
+            NUM_MEL_BINS, nfft, sample_rate, LOW_FREQ_HZ, sample_rate / 2.0
         ),
-        dct_matrix(cfg.num_ceps, cfg.num_mel_bins),
+        dct_matrix(NUM_CEPS, NUM_MEL_BINS),
     )
     for arr in arrays:
         arr.flags.writeable = False
     return (frame_len, shift, nfft, *arrays)
 
 
-def compute_mfcc(audio: AudioBuffer, cfg: MfccConfig = MfccConfig()) -> FeatureMatrix:
+def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
     """MFCC rows for every frame of ``audio``, computed one block of
     frames at a time; deterministic, and byte-identical to a single pass
     over the whole signal."""
-    cfg.validate(audio.sample_rate)
     frame_len, shift, nfft, window, fbank, dct = _mfcc_constants(
-        cfg, audio.sample_rate
+        audio.sample_rate
     )
     signal = audio.samples
     if len(signal) < frame_len:
@@ -369,18 +353,16 @@ def compute_mfcc(audio: AudioBuffer, cfg: MfccConfig = MfccConfig()) -> FeatureM
     T = frame_count(len(signal), frame_len, shift)
     blocks = _blocks(T)
     idx = np.arange(frame_len)[None, :] + shift * np.arange(blocks[0][1])[:, None]
-    ceps = np.empty((T, cfg.num_ceps))
+    ceps = np.empty((T, NUM_CEPS))
     for f0, f1 in blocks:
-        y = _pre_emphasized(
-            signal, f0 * shift, (f1 - 1) * shift + frame_len, cfg.pre_emphasis
-        )
+        y = _pre_emphasized(signal, f0 * shift, (f1 - 1) * shift + frame_len)
         frames = y[idx[: f1 - f0]]
         frames *= window
         spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
         log_energies = np.log(np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR))
         ceps[f0:f1] = log_energies @ dct.T
 
-    return FeatureMatrix(ceps, cfg.frame_shift_ms / 1000.0)
+    return FeatureMatrix(ceps, FRAME_SHIFT_MS / 1000.0)
 
 
 def _prefix_sums(rows: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
@@ -405,21 +387,20 @@ def _normalized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return np.where(live, out / np.where(live, std, 1.0), out)
 
 
-def apply_cmvn(feats: FeatureMatrix, window_frames: int = 301) -> FeatureMatrix:
+def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
     """Sliding-window mean/variance normalization, per dimension.
 
-    The window is centered on each frame; near the edges it slides rather
-    than shrinks, so it keeps its full span whenever T >= window_frames and
-    truncates to the whole matrix otherwise (hence T <= window_frames
-    reduces to global CMVN). Dimensions with (near-)zero variance inside
-    the window are only mean-subtracted; columns that are globally constant
-    come out as exact zeros.
+    The CMVN_WINDOW_FRAMES window is centered on each frame; near the
+    edges it slides rather than shrinks, so it keeps its full span whenever
+    T >= CMVN_WINDOW_FRAMES and truncates to the whole matrix otherwise
+    (hence a shorter T reduces to global CMVN). Dimensions with (near-)zero
+    variance inside the window are only mean-subtracted; columns that are
+    globally constant come out as exact zeros.
     """
-    if window_frames < 1 or window_frames % 2 == 0:
-        raise InvalidConfig("window_frames must be a positive odd integer")
     if feats.num_frames < 1:
         raise EmptyFeatures("cannot normalize an empty feature matrix")
 
+    window_frames = CMVN_WINDOW_FRAMES
     x = feats.rows
     T = len(x)
     half = window_frames // 2

@@ -266,8 +266,8 @@ def normalize_text(line: str) -> list[str]:
 # Transcript and condition-label files
 # -----------------------------------------------------------------------------
 
-def read_transcripts(path: str | Path, normalize: bool = True) -> dict:
-    """`file-id<TAB>words...` per line -> {file-id: word list}."""
+def read_transcripts(path: str | Path) -> dict:
+    """`file-id<TAB>words...` per line -> {file-id: normalized word list}."""
     out: dict[str, list[str]] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
@@ -275,8 +275,7 @@ def read_transcripts(path: str | Path, normalize: bool = True) -> dict:
         file_id, _, text = line.partition("\t")
         if not file_id.strip():
             raise InvalidConfig(f"{path}:{lineno}: missing file id")
-        words = normalize_text(text) if normalize else text.split()
-        out.setdefault(file_id.strip(), []).extend(words)
+        out.setdefault(file_id.strip(), []).extend(normalize_text(text))
     return out
 
 

@@ -2,9 +2,11 @@
 
 The three strategies share one decision path (_decide): every window
 gets a calibrated speech probability (1.0 for the baseline without a
-model), one AHC pass clusters the windows the strategy picks, and every
-window gets one decision-log record, labeled speech or noise by the
-probability cut. They differ in three things only:
+model), one AHC pass clusters the embedding matrix of the windows the
+strategy picks, and every window gets one DecisionRecord (span,
+probability, speech or noise by the probability cut, cluster id), which
+is what the decision log, segment building and segment filtering read.
+They differ in three things only:
 
 - baseline: adaptive-energy VAD per 30 ms frame, median filter, gap merge;
   embeddings are computed only inside the resulting segments, every
@@ -38,7 +40,7 @@ from .baseline import (
     median_filter,
     merge_segments,
 )
-from .classifier import CalibratedLinearModel, load_model
+from .classifier import CalibratedLinearModel
 from .errors import EmptyInput, InvalidConfig, StreamTooShort
 from .frontend import AudioBuffer, FeatureMatrix, apply_cmvn, compute_mfcc, read_wav
 from .segments import Segment, check_sorted
@@ -48,7 +50,6 @@ from .xvector import (
     XVectorNet,
     extract_sequence,
     extract_streams,
-    load_weights,
 )
 
 STRATEGIES = ("baseline", "xvector_filt", "xvector_seg_filt")
@@ -57,8 +58,6 @@ STRATEGIES = ("baseline", "xvector_filt", "xvector_seg_filt")
 @dataclass(frozen=True)
 class PipelineConfig:
     strategy: str
-    model_path: str | None = None
-    net_path: str | None = None
     vad_probability_threshold: float = 0.5
     noise_proportion_threshold: float = 0.5   # rho
     cluster_distance_threshold: float = 0.35  # delta, cosine
@@ -88,24 +87,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ClusteredSequence:
-    """Per-window (x-vector, cluster id, speech probability) triples."""
+    """The cluster id of each row given to cluster_ahc."""
 
-    entries: tuple
-
-    def __post_init__(self):
-        ids = [cid for _, cid, _ in self.entries]
-        if ids and sorted(set(ids)) != list(range(max(ids) + 1)):
-            raise InvalidConfig("cluster ids must be dense integers from 0")
-        for _, _, prob in self.entries:
-            if not 0.0 <= prob <= 1.0:
-                raise InvalidConfig("probabilities must lie in [0, 1]")
-
-    def __len__(self):
-        return len(self.entries)
-
-    @property
-    def cluster_ids(self) -> list[int]:
-        return [cid for _, cid, _ in self.entries]
+    cluster_ids: list[int]
 
 
 @dataclass(frozen=True)
@@ -125,17 +109,14 @@ class PipelineResult:
 
 
 def cluster_ahc(
-    vectors: list[XVector],
-    distance_threshold: float,
-    probabilities: list[float] | None = None,
-    center: bool = False,
+    values: np.ndarray, distance_threshold: float, center: bool = False
 ) -> ClusteredSequence:
-    """Average-linkage agglomerative clustering under cosine distance.
+    """Average-linkage agglomerative clustering of the rows of an N x D
+    matrix under cosine distance.
 
     Merging stops once the closest pair of clusters is farther apart than
     the threshold; ties break toward the lowest pair index. Ids are dense
-    from 0 in order of first appearance. Probabilities default to 1.0 when
-    the caller has none.
+    from 0 in order of first appearance.
 
     Each row caches its nearest cluster (nn, the lowest column holding
     the row's minimum) and that distance (nd), after Müllner 2011
@@ -149,21 +130,17 @@ def cluster_ahc(
     rows point at the merged pair on most merges. The merge sequence and
     every distance are those of the full scan, so the partition is too.
 
-    center subtracts the mean embedding before measuring distances (the
-    vectors themselves are returned untouched). Raw embeddings of very
-    different content can sit within a few degrees of each other, so the
-    pipeline clusters on centered directions; centering needs at least 3
-    vectors to be meaningful and is skipped below that.
+    center subtracts the mean row before measuring distances (values
+    itself is left untouched). Raw embeddings of very different content
+    can sit within a few degrees of each other, so the pipeline clusters
+    on centered directions; centering needs at least 3 rows to be
+    meaningful and is skipped below that.
     """
-    n = len(vectors)
+    n = len(values)
     if n == 0:
         raise EmptyInput("clustering needs at least one vector")
-    if probabilities is None:
-        probabilities = [1.0] * n
-    if len(probabilities) != n:
-        raise InvalidConfig("need one probability per vector")
 
-    x = np.stack([v.values for v in vectors]).astype(np.float64)
+    x = np.asarray(values, dtype=np.float64)
     if center and n >= 3:
         x = x - x.mean(axis=0)
     norms = np.linalg.norm(x, axis=1)
@@ -210,18 +187,15 @@ def cluster_ahc(
         nn[rows] = dist[rows].argmin(axis=1)
         nd[rows] = dist[rows, nn[rows]]
 
-    id_of = {}
+    ids = [0] * n
     for cid, group in enumerate(sorted(members.values(), key=min)):
         for t in group:
-            id_of[t] = cid
-    entries = tuple(
-        (vectors[t], id_of[t], float(probabilities[t])) for t in range(n)
-    )
-    return ClusteredSequence(entries)
+            ids[t] = cid
+    return ClusteredSequence(ids)
 
 
 def filter_segments(
-    clustered: ClusteredSequence,
+    decisions: list[DecisionRecord],
     segments: list[Segment],
     noise_proportion_threshold: float,
     p_threshold: float = 0.5,
@@ -229,17 +203,18 @@ def filter_segments(
     """Drop segments whose attributed windows are mostly noise.
 
     A window belongs to the first segment containing its center. A segment
-    is rejected iff its noise fraction strictly exceeds the threshold;
-    segments with no attributed window are rejected too.
+    is rejected iff the fraction of its windows whose probability is below
+    p_threshold strictly exceeds the noise proportion threshold; segments
+    with no attributed window are rejected too.
     """
     totals = [0] * len(segments)
     noise = [0] * len(segments)
-    for vec, _, prob in clustered.entries:
-        center = (vec.window_start_s + vec.window_end_s) / 2.0
+    for d in decisions:
+        center = (d.start_s + d.end_s) / 2.0
         for k, seg in enumerate(segments):
             if seg.start_s <= center < seg.end_s:
                 totals[k] += 1
-                if prob < p_threshold:
+                if d.probability < p_threshold:
                     noise[k] += 1
                 break
     return [
@@ -252,23 +227,17 @@ def filter_segments(
 def run_pipeline(
     audio: str | Path | AudioBuffer,
     cfg: PipelineConfig,
+    net: XVectorNet,
     model: CalibratedLinearModel | None = None,
-    net: XVectorNet | None = None,
 ) -> PipelineResult:
     """Segment one stream under the configured strategy.
 
-    model and net are loaded from the config paths unless already-loaded
-    objects are passed in. No speech found is an empty result, not an
-    error.
+    The x-vector strategies need a model; the baseline without one gives
+    every window probability 1.0. No speech found is an empty result, not
+    an error.
     """
     if isinstance(audio, (str, Path)):
         audio = read_wav(audio)
-    if net is None:
-        if cfg.net_path is None:
-            raise InvalidConfig("strategy requires x-vector weights (net_path)")
-        net = load_weights(cfg.net_path)
-    if model is None and cfg.model_path is not None:
-        model = load_model(cfg.model_path)
     if cfg.strategy != "baseline" and model is None:
         raise InvalidConfig(
             f"strategy {cfg.strategy} requires a classifier model"
@@ -295,14 +264,13 @@ def _silent_window(audio: AudioBuffer, vec: XVector) -> bool:
 
 
 def _decide(vectors, cfg, model):
-    """Score, cluster and log every window: (clustered, decisions).
+    """Score, cluster and log every window: one DecisionRecord each.
 
     xvector_filt clusters only the windows at or above the probability
     cut, on raw directions: that set is single-class by construction, so
     recording-level centering would only amplify residual noise. The
     other strategies cluster every window on centered directions. A
-    window left out of clustering is logged with cluster -1; clustered is
-    None when no window was clustered.
+    window left out of clustering is logged with cluster -1.
     """
     probs = [
         model.probability(v.values) if model is not None else 1.0
@@ -314,17 +282,15 @@ def _decide(vectors, cfg, model):
     else:
         picked = list(range(len(vectors)))
     ids = [-1] * len(vectors)
-    clustered = None
     if picked:
         clustered = cluster_ahc(
-            [vectors[i] for i in picked],
+            np.stack([vectors[i].values for i in picked]),
             cfg.cluster_distance_threshold,
-            [probs[i] for i in picked],
             center=cfg.strategy != "xvector_filt",
         )
         for i, cid in zip(picked, clustered.cluster_ids):
             ids[i] = cid
-    decisions = [
+    return [
         DecisionRecord(
             v.window_start_s,
             v.window_end_s,
@@ -334,7 +300,6 @@ def _decide(vectors, cfg, model):
         )
         for i, v in enumerate(vectors)
     ]
-    return clustered, decisions
 
 
 def _run_xvector(audio, cfg, model, net):
@@ -347,11 +312,11 @@ def _run_xvector(audio, cfg, model, net):
     if not vectors:
         return [], [], []
 
-    clustered, decisions = _decide(vectors, cfg, model)
+    decisions = _decide(vectors, cfg, model)
     runs = _runs_to_segments(decisions, cfg.extraction.stride_s)
     if cfg.strategy == "xvector_seg_filt":
         runs = filter_segments(
-            clustered, runs, cfg.noise_proportion_threshold,
+            decisions, runs, cfg.noise_proportion_threshold,
             cfg.vad_probability_threshold,
         )
     return merge_segments(runs, cfg.merge_gap_s), vectors, decisions
@@ -411,7 +376,7 @@ def _run_baseline(audio, cfg, model, net):
                 vectors.append(v)
                 owner.append(k)
 
-    _, decisions = _decide(vectors, cfg, model)
+    decisions = _decide(vectors, cfg, model)
     ids = [d.cluster for d in decisions]
 
     # majority cluster labels each VAD segment; ties pick the lowest id,

@@ -1,7 +1,7 @@
 """Time-labeled segments and their on-disk formats.
 
 A segment is a half-open interval [start_s, end_s) with a label (a class
-name such as "speech" or a speaker id such as "spk0") and an optional score.
+name such as "speech" or a speaker id such as "spk0").
 Two text formats are written; TSV is also read back:
 
 * TSV: ``start<TAB>end<TAB>label`` with 3-decimal fixed-point times.
@@ -21,7 +21,6 @@ class Segment:
     start_s: float
     end_s: float
     label: str
-    score: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):

@@ -13,7 +13,6 @@ import struct
 
 import numpy as np
 
-from speechseg.classifier import LabeledEmbedding
 from speechseg.frontend import AudioBuffer, apply_cmvn, compute_mfcc
 from speechseg.synth import DEFAULT_SAMPLE_RATE, make_speech_proxy, make_tone
 from speechseg.xvector import extract_sequence
@@ -27,8 +26,9 @@ def embed_clip(net, audio):
 
 
 def training_embeddings(net, n_per_class, seed=0):
+    """(x, labels): one float64 embedding row per clip and its label."""
     rng = np.random.default_rng(seed)
-    out = []
+    rows, labels = [], []
     have = {"speech": 0, "noise": 0}
     i = 0
     while min(have.values()) < n_per_class:
@@ -54,9 +54,10 @@ def training_embeddings(net, n_per_class, seed=0):
             )
             label = "speech" if proxy.duration_s > CLIP_S / 2 else "noise"
         if have[label] < n_per_class:
-            out.append(LabeledEmbedding(embed_clip(net, audio).values, label))
+            rows.append(embed_clip(net, audio).values)
+            labels.append(label)
             have[label] += 1
-    return out
+    return np.stack(rows).astype(np.float64), labels
 
 
 def extensible_wav(plain: bytes, fmt_size=40, subformat_tag=None) -> bytes:

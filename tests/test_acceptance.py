@@ -24,12 +24,7 @@ from test_xvector import net_to_plain
 
 from speechseg.analysis import pca_reduce, tsne_embed
 from speechseg.baseline import FrameDecisionTrack, median_filter, merge_segments
-from speechseg.classifier import (
-    LabeledEmbedding,
-    TrainConfig,
-    platt_calibrate,
-    predict,
-)
+from speechseg.classifier import TrainConfig, platt_calibrate
 from speechseg.cli import main as cli_main
 from speechseg.frontend import apply_cmvn, compute_mfcc
 from speechseg.metrics import (
@@ -156,45 +151,45 @@ def test_criterion_05_extraction_protocol():
 
 
 def _blobs(n_per_class, margin, sigma, dim, seed):
+    """(x, labels): speech rows at +margin on axis 0, then noise rows."""
     rng = np.random.default_rng(seed)
-    data = []
-    for sign, label in ((1.0, "speech"), (-1.0, "noise")):
-        center = np.zeros(dim)
-        center[0] = sign * margin
-        for i in range(n_per_class):
-            data.append(LabeledEmbedding(
-                center + sigma * rng.standard_normal(dim), label,
-                source_id=f"{label}-{i}",
-            ))
-    return data
+    x = sigma * rng.standard_normal((2 * n_per_class, dim))
+    x[:n_per_class, 0] += margin
+    x[n_per_class:, 0] -= margin
+    return x, ["speech"] * n_per_class + ["noise"] * n_per_class
+
+
+def _predict(model, x):
+    p = model.probability(x)
+    return ("speech" if p >= model.decision_threshold else "noise"), p
 
 
 def test_criterion_06_classifier_end_to_end():
     budget, t0 = 30.0, time.perf_counter()
-    data = _blobs(n_per_class=200, margin=0.5, sigma=0.01, dim=512, seed=6)
-    speech = [d for d in data if d.label == "speech"]
-    noise = [d for d in data if d.label == "noise"]
-    train = speech[:150] + noise[:150]
-    hold = speech[150:] + noise[150:]
-    model = platt_calibrate(train, TrainConfig(seed=0))
+    x, labels = _blobs(n_per_class=200, margin=0.5, sigma=0.01, dim=512,
+                       seed=6)
+    train = np.r_[0:150, 200:350]
+    hold = np.r_[150:200, 350:400]
+    model = platt_calibrate(x[train], [labels[i] for i in train],
+                            TrainConfig(seed=0))
 
-    hits = sum(1 for d in hold if predict(model, d.values)[0] == d.label)
+    hits = sum(1 for i in hold if _predict(model, x[i])[0] == labels[i])
     accuracy = hits / len(hold)
     assert accuracy >= 0.99
 
-    raws = np.array([model.raw_score(d.values) for d in hold])
-    probs = np.array([model.probability(d.values) for d in hold])
+    raws = np.array([model.raw_score(x[i]) for i in hold])
+    probs = np.array([model.probability(x[i]) for i in hold])
     order = np.argsort(raws)
     assert (np.diff(probs[order]) >= 0).all()
 
     rng = np.random.default_rng(60)
     for _ in range(10):
-        x = rng.standard_normal(512)
-        base = predict(model, x)
+        v = rng.standard_normal(512)
+        base = _predict(model, v)
         # powers of two scale both numerator and L1 norm exactly
-        assert predict(model, 4.0 * x) == base
-        assert predict(model, 0.25 * x) == base
-        label37, p37 = predict(model, 3.7 * x)
+        assert _predict(model, 4.0 * v) == base
+        assert _predict(model, 0.25 * v) == base
+        label37, p37 = _predict(model, 3.7 * v)
         assert label37 == base[0]
         assert abs(p37 - base[1]) < 1e-12
     _passed(6, "classifier on separable 512-d blobs",
@@ -206,7 +201,7 @@ def test_criterion_06_classifier_end_to_end():
 def test_criterion_07_pipeline_end_to_end():
     budget, t0 = 120.0, time.perf_counter()
     net = make_test_net(7, preset="small")
-    model = platt_calibrate(training_embeddings(net, 500, seed=0),
+    model = platt_calibrate(*training_embeddings(net, 500, seed=0),
                             TrainConfig(seed=0))
     audio = make_speech_then_tone(4.0, 6.0, seed=5)
     duration = audio.duration_s

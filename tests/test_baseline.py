@@ -110,6 +110,7 @@ class TestDecisionsToSegments:
     def test_single_run(self):
         segs = decisions_to_segments(track([0, 1, 1, 0]))
         assert len(segs) == 1
+        assert segs[0].label == "speech"
         assert (segs[0].start_s, segs[0].end_s) == (
             pytest.approx(0.030), pytest.approx(0.090),
         )
@@ -135,12 +136,6 @@ class TestDecisionsToSegments:
         segs = decisions_to_segments(track(bits))
         back = rasterize(segs, 0.030, n * 0.030)
         assert back.decisions.tolist() == bits.tolist()
-
-    def test_respects_start_time(self):
-        t = FrameDecisionTrack(np.array([1, 1]), 0.030, start_time_s=1.2)
-        (seg,) = decisions_to_segments(t)
-        assert seg.start_s == pytest.approx(1.2)
-        assert seg.end_s == pytest.approx(1.26)
 
 
 class TestMergeSegments:

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from speechseg.classifier import (
     CalibratedLinearModel,
-    LabeledEmbedding,
     ThresholdReport,
     TrainConfig,
     l1_normalize,
     load_model,
     platt_calibrate,
-    predict,
+    recalibrate,
     save_model,
     select_threshold,
     train_linear_svm,
@@ -30,21 +29,19 @@ from speechseg.errors import (
 
 
 def blob_dataset(n_per_class=200, margin=0.5, sigma=0.01, dim=512, seed=0):
-    """Two separable clouds at +/- margin along the first axis."""
+    """(x, labels): two separable clouds at +/- margin along the first
+    axis, speech rows first."""
     rng = np.random.default_rng(seed)
-    data = []
-    for sign, label in ((1.0, "speech"), (-1.0, "noise")):
-        center = np.zeros(dim)
-        center[0] = sign * margin
-        for i in range(n_per_class):
-            data.append(
-                LabeledEmbedding(
-                    center + sigma * rng.standard_normal(dim),
-                    label,
-                    source_id=f"{label}-{i}",
-                )
-            )
-    return data
+    x = sigma * rng.standard_normal((2 * n_per_class, dim))
+    x[:n_per_class, 0] += margin
+    x[n_per_class:, 0] -= margin
+    return x, ["speech"] * n_per_class + ["noise"] * n_per_class
+
+
+def predicted(model, x):
+    """Speech iff the probability reaches the decision threshold."""
+    p = model.probability(x)
+    return ("speech" if p >= model.decision_threshold else "noise"), p
 
 
 class TestL1Normalize:
@@ -84,15 +81,14 @@ class TestL1Normalize:
 
 class TestSvmTraining:
     def test_separable_blobs_holdout(self):
-        data = blob_dataset()
-        train = data[:150] + data[200:350]
-        holdout = data[150:200] + data[350:]
-        w, b = train_linear_svm(train)
+        x, labels = blob_dataset()
+        train = np.r_[0:150, 200:350]
+        holdout = np.r_[150:200, 350:400]
+        w, b = train_linear_svm(x[train], [labels[i] for i in train])
         correct = 0
-        for d in holdout:
-            score = w @ l1_normalize(d.values) + b
-            predicted = "speech" if score > 0 else "noise"
-            correct += predicted == d.label
+        for i in holdout:
+            score = w @ l1_normalize(x[i]) + b
+            correct += ("speech" if score > 0 else "noise") == labels[i]
         assert correct / len(holdout) >= 0.99
         # speech side of the boundary is the +margin side
         speech_mean = np.zeros(512)
@@ -100,26 +96,32 @@ class TestSvmTraining:
         assert w @ l1_normalize(speech_mean) + b > 0
 
     def test_single_class_rejected(self):
-        data = [
-            LabeledEmbedding(np.ones(8) * i, "speech") for i in range(1, 5)
-        ]
+        x = np.arange(1.0, 5.0)[:, None] * np.ones(8)
         with pytest.raises(SingleClassData):
-            train_linear_svm(data)
+            train_linear_svm(x, ["speech"] * 4)
+
+    def test_rows_checked(self):
+        x = np.eye(4)
+        with pytest.raises(InvalidConfig, match="'silence'"):
+            train_linear_svm(x, ["speech", "noise", "silence", "noise"])
+        with pytest.raises(DimMismatch, match="3 labels for 4 rows"):
+            train_linear_svm(x, ["speech", "noise", "noise"])
+        x[2, 1] = np.nan
+        with pytest.raises(NonFiniteInput):
+            train_linear_svm(x, ["speech", "noise", "speech", "noise"])
+        with pytest.raises(NonFiniteInput):
+            platt_calibrate(np.tile(x, (3, 1)), ["speech", "noise"] * 6)
 
     def test_symmetric_pair_zero_bias(self):
-        data = [
-            LabeledEmbedding(np.array([-1.0]), "noise"),
-            LabeledEmbedding(np.array([1.0]), "speech"),
-        ]
-        w, b = train_linear_svm(data)
+        w, b = train_linear_svm(np.array([[-1.0], [1.0]]), ["noise", "speech"])
         assert abs(b / w[0]) <= 0.1  # boundary crosses near 0
         assert w[0] * 1 + b > 0
         assert w[0] * -1 + b < 0
 
     def test_objective_history_non_increasing(self):
-        data = blob_dataset(n_per_class=40, dim=16, sigma=0.2)
+        x, labels = blob_dataset(n_per_class=40, dim=16, sigma=0.2)
         history = []
-        train_linear_svm(data, TrainConfig(seed=3), history=history)
+        train_linear_svm(x, labels, TrainConfig(seed=3), history=history)
         assert len(history) >= 1
         for a, b in zip(history, history[1:]):
             assert b <= a + 1e-12
@@ -128,33 +130,31 @@ class TestSvmTraining:
     @settings(max_examples=15, deadline=None)
     def test_objective_monotone_random_data(self, seed):
         rng = np.random.default_rng(seed)
-        data = [
-            LabeledEmbedding(
-                rng.standard_normal(6),
-                "speech" if rng.uniform() < 0.5 else "noise",
-            )
-            for _ in range(30)
-        ]
-        labels = {d.label for d in data}
-        if len(labels) < 2:
+        x, labels = [], []
+        for _ in range(30):
+            x.append(rng.standard_normal(6))
+            labels.append("speech" if rng.uniform() < 0.5 else "noise")
+        if len(set(labels)) < 2:
             return
         history = []
         try:
-            train_linear_svm(data, TrainConfig(seed=seed), history=history)
+            train_linear_svm(
+                np.array(x), labels, TrainConfig(seed=seed), history=history
+            )
         finally:
             for a, b in zip(history, history[1:]):
                 assert b <= a + 1e-12
 
     def test_deterministic(self):
-        data = blob_dataset(n_per_class=30, dim=8, sigma=0.3)
-        w1, b1 = train_linear_svm(data, TrainConfig(seed=5))
-        w2, b2 = train_linear_svm(data, TrainConfig(seed=5))
+        x, labels = blob_dataset(n_per_class=30, dim=8, sigma=0.3)
+        w1, b1 = train_linear_svm(x, labels, TrainConfig(seed=5))
+        w2, b2 = train_linear_svm(x, labels, TrainConfig(seed=5))
         assert np.array_equal(w1, w2) and b1 == b2
 
 
 class TestCalibration:
     def test_blob_probabilities(self):
-        model = platt_calibrate(blob_dataset())
+        model = platt_calibrate(*blob_dataset())
         speech_mean = np.zeros(512)
         speech_mean[0] = 0.5
         assert model.probability(speech_mean) >= 0.9
@@ -162,26 +162,15 @@ class TestCalibration:
         assert model.calib_A < 0
 
     def test_identical_scores_degenerate(self):
-        x = np.ones(16)
-        data = [
-            LabeledEmbedding(x, "speech" if i % 2 else "noise")
-            for i in range(12)
-        ]
+        labels = ["speech" if i % 2 else "noise" for i in range(12)]
         with pytest.raises(CalibrationDegenerate):
-            platt_calibrate(data)
+            platt_calibrate(np.ones((12, 16)), labels)
 
     def test_label_flip_symmetry(self):
-        data = blob_dataset(n_per_class=60, dim=32, sigma=0.05, seed=4)
-        flipped = [
-            LabeledEmbedding(
-                d.values,
-                "noise" if d.label == "speech" else "speech",
-                d.source_id,
-            )
-            for d in data
-        ]
-        m = platt_calibrate(data)
-        mf = platt_calibrate(flipped)
+        x, labels = blob_dataset(n_per_class=60, dim=32, sigma=0.05, seed=4)
+        flipped = ["noise" if lab == "speech" else "speech" for lab in labels]
+        m = platt_calibrate(x, labels)
+        mf = platt_calibrate(x, flipped)
         probe = np.random.default_rng(4).standard_normal((20, 32))
         for row in probe:
             assert mf.probability(row) == pytest.approx(
@@ -189,12 +178,22 @@ class TestCalibration:
             )
 
     def test_too_few_per_class(self):
-        data = blob_dataset(n_per_class=2, dim=8)
         with pytest.raises(SingleClassData):
-            platt_calibrate(data)
+            platt_calibrate(*blob_dataset(n_per_class=2, dim=8))
+
+    def test_recalibrate_keeps_separator(self):
+        x, labels = blob_dataset(n_per_class=30, dim=16, sigma=0.3)
+        model = platt_calibrate(x, labels)
+        again = recalibrate(model, x, labels)
+        assert np.array_equal(again.w, model.w) and again.b == model.b
+        assert again.calib_A < 0
+        with pytest.raises(DimMismatch):
+            recalibrate(model, x, labels[1:])
+        with pytest.raises(SingleClassData):
+            recalibrate(model, x[:30], labels[:30])
 
     def test_monotone_in_score(self):
-        model = platt_calibrate(blob_dataset(n_per_class=50, dim=16))
+        model = platt_calibrate(*blob_dataset(n_per_class=50, dim=16))
         rng = np.random.default_rng(6)
         points = [rng.standard_normal(16) for _ in range(40)]
         pairs = sorted(
@@ -210,36 +209,36 @@ class TestPredict:
         model = CalibratedLinearModel(
             np.zeros(4), 0.0, calib_A=-1.0, calib_B=0.0
         )
-        label, p = predict(model, np.array([1.0, 2.0, 3.0, 4.0]))
+        label, p = predicted(model, np.array([1.0, 2.0, 3.0, 4.0]))
         assert p == 0.5
         assert label == "speech"  # 0.5 >= default threshold 0.5
 
     def test_positive_scaling_invariance(self):
-        model = platt_calibrate(blob_dataset(n_per_class=30, dim=16))
+        model = platt_calibrate(*blob_dataset(n_per_class=30, dim=16))
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.standard_normal(16)
-            label, p = predict(model, x)
+            label, p = predicted(model, x)
             # power-of-two scaling is exactly invariant
-            label4, p4 = predict(model, 4.0 * x)
+            label4, p4 = predicted(model, 4.0 * x)
             assert (label4, p4) == (label, p)
             # arbitrary positive scaling agrees to rounding error
-            label10, p10 = predict(model, 10.0 * x)
+            label10, p10 = predicted(model, 10.0 * x)
             assert label10 == label
             assert p10 == pytest.approx(p, abs=1e-12)
 
     def test_speech_mean_classified(self):
-        model = platt_calibrate(blob_dataset())
+        model = platt_calibrate(*blob_dataset())
         speech_mean = np.zeros(512)
         speech_mean[0] = 0.5
-        label, p = predict(model, speech_mean)
+        label, p = predicted(model, speech_mean)
         assert label == "speech"
         assert p >= 0.9
 
     def test_dim_mismatch(self):
         model = CalibratedLinearModel(np.zeros(4), 0.0, -1.0, 0.0)
         with pytest.raises(DimMismatch):
-            predict(model, np.ones(5))
+            model.probability(np.ones(5))
 
 
 class TestSelectThreshold:
@@ -308,7 +307,7 @@ class TestSelectThreshold:
 
 class TestModelIo:
     def test_roundtrip_bit_exact(self, tmp_path):
-        model = platt_calibrate(blob_dataset(n_per_class=20, dim=16))
+        model = platt_calibrate(*blob_dataset(n_per_class=20, dim=16))
         model = model.with_threshold(1 / 3)
         path = tmp_path / "model.json"
         save_model(model, path)

@@ -6,6 +6,7 @@ script to prove the packaging wiring. Reports are validated against the
 schemas shipped inside the package.
 """
 import json
+import os
 import re
 import struct
 import subprocess
@@ -109,6 +110,29 @@ class TestParsing:
         assert proc.returncode == 0
         assert "speechseg" in proc.stdout
 
+    def test_runtime_imports_only_numpy(self):
+        # every package module, imported in a fresh interpreter, may pull
+        # in only the standard library and numpy
+        import speechseg
+
+        probe = (
+            "import pkgutil, sys, importlib\n"
+            "before = set(sys.modules)\n"
+            "import speechseg\n"
+            "for m in pkgutil.iter_modules(speechseg.__path__):\n"
+            "    importlib.import_module('speechseg.' + m.name)\n"
+            "tops = {n.split('.')[0] for n in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(tops)))\n"
+        )
+        src = str(Path(speechseg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        tops = set(proc.stdout.split())
+        assert {"speechseg", "numpy"} <= tops
+        allowed = set(sys.stdlib_module_names) | {"speechseg", "numpy"}
+        assert tops <= allowed, sorted(tops - allowed)
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -179,6 +203,26 @@ class TestConfigResolution:
         doc = run_json(["eval-vad", "--config", str(cfg)])
         assert doc["duration_s"] == 10.0
 
+    @pytest.mark.parametrize("command,doc", [
+        ("extract", {"jobs": "2"}),
+        ("extract", {"window": "abc"}),
+        ("extract", {"jobs": None}),
+        ("train", {"svm_c": True}),
+    ], ids=["jobs-str", "window-str", "jobs-null", "svm_c-bool"])
+    def test_config_value_of_wrong_type_rejected(self, work, tmp_path,
+                                                 capsys, command, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([command, "--config", str(cfg), "--out", str(out),
+                    "--net", str(work / "net.xvnw"),
+                    "--manifest", str(work / "train.tsv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        (key,) = doc
+        assert f"config key {key!r} must be" in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         hyp, cond = self.hyp_files(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -245,6 +289,25 @@ class TestFrontendCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "FileNotFoundError" in err
+
+    @pytest.mark.parametrize("rate", [45, 55])
+    @pytest.mark.parametrize("command", ["mfcc", "extract"])
+    def test_sample_rate_below_two_sample_frames(self, work, tmp_path,
+                                                 capsys, rate, command):
+        # 45 Hz rounds the 10 ms shift to 0 samples, 55 Hz the 25 ms
+        # frame to 1 sample (a 0/0 Hamming window)
+        wav = tmp_path / f"{rate}.wav"
+        write_wav(AudioBuffer(np.sin(np.arange(10.0 * rate)), rate), wav)
+        out = tmp_path / "out"
+        argv = [command, "--audio", str(wav), "--out", str(out)]
+        if command == "extract":
+            argv += ["--net", str(work / "net.xvnw")]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"InvalidConfig: sample rate {rate} Hz" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_gen_audio_kinds(self, tmp_path, run_json):
         for kind in ("silence", "tone", "noise", "speech"):
@@ -395,6 +458,26 @@ class TestModelCommands:
         assert run(["train", "--manifest", str(work / "train.tsv"),
                     "--net", str(work / "net.xvnw"), "--out", str(alone)]) == 0
         assert out.read_bytes() == alone.read_bytes()
+
+    def test_train_without_any_window_is_domain_error(self, tmp_path,
+                                                      work, capsys):
+        # two 0.3 s clips: MFCC frames, but not one embedding window
+        rng = np.random.default_rng(1)
+        lines = []
+        for label in ("speech", "noise"):
+            clip = tmp_path / f"{label}.wav"
+            write_wav(AudioBuffer(0.1 * rng.standard_normal(4800), 16000),
+                      clip)
+            lines.append(f"{clip}\t{label}\t{label}")
+        manifest = tmp_path / "short.tsv"
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = run(["train", "--manifest", str(manifest),
+                    "--net", str(work / "net.xvnw"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "EmptyInput" in err
+        assert not out.exists()
 
     def test_calibrate_keeps_separator(self, work, tmp_path, run_json):
         out = tmp_path / "recal.json"

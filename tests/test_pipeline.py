@@ -13,7 +13,6 @@ from speechseg.frontend import write_wav
 from speechseg.metrics import condition_frames, frame_vad_eval, rasterize
 from speechseg.pipeline import (
     STRATEGIES,
-    ClusteredSequence,
     DecisionRecord,
     PipelineConfig,
     cluster_ahc,
@@ -29,7 +28,7 @@ from speechseg.synth import (
     make_speech_then_tone,
     make_tone,
 )
-from speechseg.xvector import XVector, make_test_net
+from speechseg.xvector import make_test_net
 
 from corpus import training_embeddings
 from reference import ref_cluster_ahc
@@ -38,8 +37,9 @@ SR = 16000
 DIM = 512
 
 
-def xv(values, start=0.0, end=1.5):
-    return XVector(np.asarray(values, dtype=np.float32), start, end)
+def matrix(*vectors):
+    """The vectors as float32 rows, as the x-vectors the pipeline stacks."""
+    return np.stack(vectors).astype(np.float32)
 
 
 def basis(i, scale=1.0):
@@ -55,8 +55,8 @@ def net():
 
 @pytest.fixture(scope="module")
 def model(net):
-    emb = training_embeddings(net, 120, seed=0)
-    return platt_calibrate(emb, TrainConfig(seed=0))
+    x, labels = training_embeddings(net, 120, seed=0)
+    return platt_calibrate(x, labels, TrainConfig(seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def fixture_audio():
 
 class TestClusterAhc:
     def test_single_vector_single_cluster(self):
-        out = cluster_ahc([xv(basis(0))], 0.35)
+        out = cluster_ahc(matrix(basis(0)), 0.35)
         assert out.cluster_ids == [0]
 
     def test_two_orthogonal_bundles_split(self):
@@ -74,31 +74,31 @@ class TestClusterAhc:
         rng = np.random.default_rng(0)
         vecs = []
         for _ in range(10):
-            vecs.append(xv(basis(0) + 1e-3 * rng.standard_normal(DIM)))
-            vecs.append(xv(basis(1) + 1e-3 * rng.standard_normal(DIM)))
-        ids = cluster_ahc(vecs, 0.35).cluster_ids
+            vecs.append(basis(0) + 1e-3 * rng.standard_normal(DIM))
+            vecs.append(basis(1) + 1e-3 * rng.standard_normal(DIM))
+        ids = cluster_ahc(matrix(*vecs), 0.35).cluster_ids
         assert ids[0::2] == [0] * 10
         assert ids[1::2] == [1] * 10
 
     def test_threshold_two_merges_everything(self):
         rng = np.random.default_rng(1)
-        vecs = [xv(rng.standard_normal(DIM)) for _ in range(12)]
+        vecs = rng.standard_normal((12, DIM)).astype(np.float32)
         assert set(cluster_ahc(vecs, 2.0).cluster_ids) == {0}
 
     def test_threshold_zero_keeps_distinct_vectors_apart(self):
-        vecs = [xv(basis(i)) for i in range(6)]
+        vecs = matrix(*(basis(i) for i in range(6)))
         assert cluster_ahc(vecs, 0.0).cluster_ids == list(range(6))
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
-            cluster_ahc([], 0.35)
+            cluster_ahc(np.empty((0, DIM), dtype=np.float32), 0.35)
 
     def test_one_distance_matrix_at_a_time(self):
-        # the n x n float64 distance matrix is 8 MB here; the stacked and
+        # the n x n float64 distance matrix is 8 MB here; the float64 and
         # unit-norm embeddings add half a matrix each
         n = 1000
         rng = np.random.default_rng(5)
-        vecs = [xv(rng.standard_normal(DIM)) for _ in range(n)]
+        vecs = rng.standard_normal((n, DIM)).astype(np.float32)
         tracemalloc.start()
         try:
             cluster_ahc(vecs, 0.35, center=True)
@@ -109,34 +109,24 @@ class TestClusterAhc:
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        vecs = [xv(rng.standard_normal(DIM)) for _ in range(20)]
+        vecs = rng.standard_normal((20, DIM)).astype(np.float32)
         assert cluster_ahc(vecs, 0.8).cluster_ids == cluster_ahc(
             vecs, 0.8
         ).cluster_ids
 
-    def test_probability_passthrough_and_length_check(self):
-        vecs = [xv(basis(0)), xv(basis(1))]
-        out = cluster_ahc(vecs, 0.35, [0.25, 0.75])
-        assert [p for _, _, p in out.entries] == [0.25, 0.75]
-        with pytest.raises(InvalidConfig):
-            cluster_ahc(vecs, 0.35, [0.5])
-
     def test_centering_separates_offset_dominated_classes(self):
         # a large shared direction swamps the class signal in raw cosine
-        vecs = [
-            xv(basis(0, 100.0) + basis(1)),
-            xv(basis(0, 100.0) + basis(1)),
-            xv(basis(0, 100.0) - basis(1)),
-            xv(basis(0, 100.0) - basis(1)),
-        ]
+        vecs = matrix(
+            basis(0, 100.0) + basis(1),
+            basis(0, 100.0) + basis(1),
+            basis(0, 100.0) - basis(1),
+            basis(0, 100.0) - basis(1),
+        )
         assert set(cluster_ahc(vecs, 0.35).cluster_ids) == {0}
         assert cluster_ahc(vecs, 0.35, center=True).cluster_ids == [0, 0, 1, 1]
 
     def test_centering_skipped_below_three_vectors(self):
-        vecs = [
-            xv(basis(0, 100.0) + basis(1)),
-            xv(basis(0, 100.0) - basis(1)),
-        ]
+        vecs = matrix(basis(0, 100.0) + basis(1), basis(0, 100.0) - basis(1))
         assert cluster_ahc(vecs, 0.35, center=True).cluster_ids == [0, 0]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -170,9 +160,9 @@ class TestClusterAhc:
                 v = basis(proto, scale)
             else:
                 v = rng.standard_normal(DIM)
-            vecs.append(xv(v))
-        values = np.stack([v.values for v in vecs])
-        assert cluster_ahc(vecs, threshold, center=center).cluster_ids == (
+            vecs.append(v)
+        values = matrix(*vecs)
+        assert cluster_ahc(values, threshold, center=center).cluster_ids == (
             ref_cluster_ahc(values, threshold, center=center)
         )
 
@@ -184,35 +174,26 @@ class TestClusterAhc:
         # the matrix finds. Every dot product here is exact.
         up = np.r_[2.0, 9.0, 2.0, np.zeros(DIM - 3)]
         down = np.r_[2.0, -9.0, 2.0, np.zeros(DIM - 3)]
-        vecs = [xv(basis(0)), xv(9.0 * down), xv(up), xv(down)]
-        values = np.stack([v.values for v in vecs])
+        values = matrix(basis(0), 9.0 * down, up, down)
         assert ref_cluster_ahc(values, 0.8) == [0, 0, 1, 0]
-        assert cluster_ahc(vecs, 0.8).cluster_ids == [0, 0, 1, 0]
+        assert cluster_ahc(values, 0.8).cluster_ids == [0, 0, 1, 0]
 
 
 class TestClusteredSequence:
     def test_ids_must_be_dense_from_zero(self):
-        with pytest.raises(InvalidConfig):
-            ClusteredSequence(((xv(basis(0)), 1, 0.5),))
-
-    def test_probability_range_checked(self):
-        with pytest.raises(InvalidConfig):
-            ClusteredSequence(((xv(basis(0)), 0, 1.5),))
-
-    def test_accessors(self):
-        seq = ClusteredSequence(
-            ((xv(basis(0)), 0, 0.9), (xv(basis(1)), 1, 0.1))
-        )
-        assert seq.cluster_ids == [0, 1]
-        assert len(seq) == 2
+        # ids count up from 0 in order of first appearance, whatever
+        # basis vector a bundle sits on
+        vecs = matrix(basis(5), basis(2), basis(5), basis(0), basis(2))
+        assert cluster_ahc(vecs, 0.35).cluster_ids == [0, 1, 0, 2, 1]
 
 
 def clustered_at(centers_probs):
-    entries = tuple(
-        (xv(np.zeros(DIM), c - 0.75, c + 0.75), 0, p)
+    """Decision records of 1.5 s windows centered at the given times."""
+    return [
+        DecisionRecord(c - 0.75, c + 0.75, p,
+                       "speech" if p >= 0.5 else "noise", 0)
         for c, p in centers_probs
-    )
-    return ClusteredSequence(entries)
+    ]
 
 
 class TestFilterSegments:
@@ -421,9 +402,6 @@ class TestRunPipeline:
                 fixture_audio, PipelineConfig(strategy="xvector_filt"), net=net
             )
 
-    def test_net_required(self, fixture_audio):
-        with pytest.raises(InvalidConfig):
-            run_pipeline(fixture_audio, PipelineConfig(strategy="baseline"))
 
 
 class TestPipelineConfig:
