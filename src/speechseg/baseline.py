@@ -55,6 +55,11 @@ def energy_vad_frames(
             f"aggressiveness must be 0..3, got {aggressiveness}"
         )
     frame_len = round(FRAME_PERIOD_S * audio.sample_rate)
+    if frame_len < 1:
+        raise InvalidConfig(
+            f"sample rate {audio.sample_rate} Hz gives a 0-sample "
+            f"{FRAME_PERIOD_S * 1000:.0f} ms frame; need at least 1"
+        )
     n = len(audio.samples) // frame_len
     if n < 1:
         raise AudioTooShort(

@@ -17,19 +17,32 @@ them once per block of consecutive windows, not once per window: the
 windows overlap (by half at the default stride), so a per-window pass
 would push most frames through them twice. Each window then stats-pools
 its own rows of the block output and applies the first segment affine.
-A block spans at most BLOCK_FRAMES frames, which keeps peak memory flat
-however long the stream is. extract_streams embeds many streams in turn:
-consecutive streams whose windows fit in PACK_FRAMES rows share a block,
-their rows concatenated, so a manifest of short clips pays the per-block
-costs (five small matrix products, the float64 weight casts) once per
-block rather than once per clip. A window pools only its own stream's
-rows; rows whose receptive field straddles two streams are computed but
-never read. The embeddings are byte-identical to a per-window pass and to
-one stream at a time (tests/test_xvector.py checks every window bit for
-bit): each output row goes through the same float64 operations in the
-same order, whichever block it sits in.
+A block spans at most BLOCK_FRAMES (750) frames, which keeps peak memory
+flat however long the stream is, and the one bound serves both ways a
+block forms. extract_streams embeds many streams in turn: consecutive
+streams whose windows fit in one block share it, their rows
+concatenated, so a manifest of short clips pays the per-block costs (five
+small matrix products, the float64 weight casts) once per block rather
+than once per clip; a longer stream is cut into blocks at window starts.
+A window pools only its own stream's rows; rows whose receptive field
+straddles two streams are computed but never read.
 
-Weights live as float32; arithmetic runs in float64.
+How windows fall into blocks does not change an embedding in any case
+measured, but that rests on the float32 cast, not on equal float64 bits.
+BLAS picks its summation kernel by the shape of a product, so a row of a
+wide frame layer can get other last bits in a block of another length.
+On the standard net (OpenBLAS, 2 cores), 71 of the 79 windows of a 60 s
+benchmark recording with one BLAS thread, and all 79 with two, had
+frame-layer rows whose float64 bits differed from a per-window pass in
+750-row blocks (all 79 in 1,500-row blocks); yet every float32 embedding
+equaled forward_window's. On the small net the float64 rows agree too.
+What is checked bit for bit: every small-net window against a per-window
+pass and packed against one stream at a time, a few standard-net streams
+packed against one at a time (tests/test_xvector.py), and the artifacts
+of the benchmark's four workloads, the same at 1,500- and 750-row blocks.
+
+Weights live as float32; arithmetic runs in float64. load_weights returns
+them as read-only views of the file's bytes, which it reads once.
 """
 from __future__ import annotations
 
@@ -55,16 +68,14 @@ from .frontend import FeatureMatrix
 
 EMBEDDING_DIM = 512
 BN_EPSILON = 1e-5
-# longest frame span of one block of windows in extract_streams; bounds
-# the block's float64 intermediates (about 18 MB per layer for the
-# standard net), so peak memory does not grow with the stream
-BLOCK_FRAMES = 1500
-# longest frame span of a block that extract_streams packs from several
-# short streams. Packing saves per-block costs, but most of the gain is in
-# by a few hundred rows, while larger blocks raise peak RSS: training on
-# 400 clips of 1.5 s with the small net (2 cores, OpenBLAS), packing up to
-# 1,500 rows cost 2.9 MB of RSS (+5.6%), up to 750 rows 0.7 MB
-PACK_FRAMES = 750
+# longest frame span of one block of windows in extract_streams, whether
+# it packs several short streams or cuts a long one. It bounds the block's
+# float64 intermediates, so peak memory does not grow with the stream.
+# Each cut recomputes half a window of rows (75 at the default grid), so
+# smaller blocks cost time. Segmenting 4 x 60 s with the standard net
+# (2 cores, OpenBLAS) peaked at 118 MB RSS with 1,500 rows and at 83 MB
+# with 750 at the same speed; 500 rows reached 77 MB, 15% slower
+BLOCK_FRAMES = 750
 
 WEIGHTS_MAGIC = b"XVNW"
 WEIGHTS_VERSION = 1
@@ -331,10 +342,10 @@ def extract_streams(
     The frame layers run once per block of at most BLOCK_FRAMES rows (one
     longer window is a block of its own), and each window stats-pools its
     own rows of the block output. A stream starts a new block unless all
-    its windows fit in the current one within PACK_FRAMES rows, so short
-    streams share a block, their rows concatenated, while a stream longer
-    than BLOCK_FRAMES is cut into blocks at window starts. Windows shorter
-    than the receptive field go through forward_window's padded path.
+    its windows fit in the current one, so short streams share a block,
+    their rows concatenated, while a stream longer than BLOCK_FRAMES is
+    cut into blocks at window starts. Windows shorter than the receptive
+    field go through forward_window's padded path.
     """
     context, min_frames = net.total_context, net.min_frames
     tap = net.segment_layers[0]
@@ -354,7 +365,9 @@ def extract_streams(
             del y, parts  # not alive during the tap product
             tap_weight = tap.weight.T.astype(np.float64)
             for (values, k, _, _), p in zip(jobs, pooled):
-                values[k] = p @ tap_weight + tap.bias
+                # the float32 cast XVector makes, made now, so a long
+                # stream holds half the bytes until it is yielded
+                values[k] = (p @ tap_weight + tap.bias).astype(np.float32)
             chunks.clear()
             jobs.clear()
             used = 0
@@ -373,7 +386,7 @@ def extract_streams(
         spans, rows = _window_grid(feats, cfg)
         values = [None] * len(spans)
         full = [(a, b) for a, b in rows if b - a >= min_frames]
-        if full and used + full[-1][1] - full[0][0] > PACK_FRAMES:
+        if full and used + full[-1][1] - full[0][0] > BLOCK_FRAMES:
             yield from flush()
         end = None  # end of this stream's rows in the current block
         for k, (a, b) in enumerate(rows):
@@ -490,14 +503,17 @@ def save_weights(net: XVectorNet, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> XVectorNet:
+    """Read a weight file. Every weight, bias and batch-norm array is a
+    read-only view of the one buffer the file is read into, so loading
+    holds the file's bytes once rather than a copy per array as well."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise IoFailure(str(e)) from e
     if len(raw) < 12 or raw[:4] != WEIGHTS_MAGIC:
         raise BadMagic(f"{path}: not a weight file")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
+    body = memoryview(raw)[:-4]
+    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
         raise CorruptArchive(f"{path}: weight file checksum mismatch")
 
     version, count = struct.unpack_from("<HH", body, 4)
@@ -530,9 +546,7 @@ def load_weights(path: str | Path) -> XVectorNet:
             raise CorruptArchive(f"{path}: truncated layer record")
         arrays = []
         for n in counts:
-            arrays.append(
-                np.frombuffer(body, dtype="<f4", count=n, offset=pos).copy()
-            )
+            arrays.append(np.frombuffer(body, dtype="<f4", count=n, offset=pos))
             pos += 4 * n
         w, bias, bn_mean, bn_var = arrays
         layers.append(

@@ -557,6 +557,22 @@ class TestSegmentCommand:
         assert doc["strategy"] == "baseline"
         assert doc["files"][0]["segments"] >= 1
 
+    @pytest.mark.parametrize("rate", [1, 16])
+    def test_baseline_rate_below_one_sample_frame(self, work, tmp_path,
+                                                  capsys, rate):
+        # the energy VAD's 30 ms frame rounds to 0 samples below 17 Hz
+        wav = tmp_path / f"{rate}.wav"
+        write_wav(AudioBuffer(np.sin(np.arange(10.0 * rate)), rate), wav)
+        out = tmp_path / "bl"
+        code = run(["segment", "--strategy", "baseline",
+                    "--audio", str(wav), "--net", str(work / "net.xvnw"),
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"InvalidConfig: sample rate {rate} Hz" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_xvector_strategy_requires_model(self, work, tmp_path, capsys):
         code = run(["segment", "--strategy", "xvector_filt",
                     "--audio", str(work / "mix.wav"),

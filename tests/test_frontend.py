@@ -320,6 +320,11 @@ def traced_peak_above_output(fn, *args):
     return peak - out.rows.nbytes
 
 
+def never_same(a, b):
+    """frontend._same_rows for a CMVN that recomputes every flagged window."""
+    return np.zeros(a.shape[:-1], dtype=bool)
+
+
 class TestBlocks:
     def test_blocks_match_one_block_pass(self, monkeypatch):
         audio = speech_tone_silence(20.0, 15.0)
@@ -351,8 +356,46 @@ class TestBlocks:
             whole_cmvn.rows, ref_cmvn(whole.rows, 301), atol=1e-9
         )
 
+    def test_silence_reuses_window_moments_exactly(self, monkeypatch):
+        # every window in the 5 s of digital silence is flagged; one whose
+        # 301 rows are a single repeated row takes the moments of the
+        # flagged window before it, which must be the bits a recompute
+        # gives, in blocks or in one block, and within the oracle's reach
+        feats = compute_mfcc(speech_tone_silence(20.0, 5.0))
+        same_rows = frontend._same_rows
+        reused = []
+
+        def spy(a, b):
+            same = same_rows(a, b)
+            if same.ndim == 0:  # a window's row against the last one's
+                reused.append(bool(same))
+            return same
+
+        monkeypatch.setattr(frontend, "_same_rows", spy)
+        got = apply_cmvn(feats).rows
+        assert sum(reused) > 150
+
+        monkeypatch.setattr(frontend, "_same_rows", never_same)
+        assert apply_cmvn(feats).rows.tobytes() == got.tobytes()
+        monkeypatch.setattr(frontend, "_same_rows", same_rows)
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
+        assert apply_cmvn(feats).rows.tobytes() == got.tobytes()
+        np.testing.assert_allclose(got, ref_cmvn(feats.rows, 301), atol=1e-9)
+
+    def test_reuse_needs_the_whole_window_in_one_run(self, monkeypatch):
+        # column 1 is constant from row 400 on, so every window there is
+        # flagged; column 0 repeats one row over rows 400-799 only. A
+        # window starting in that run but reaching past it has the run's
+        # first row, yet must not take the run's moments
+        x = np.random.default_rng(6).standard_normal((1200, 2))
+        x[400:800, 0], x[400:, 1] = 0.5, 1.0
+        got = apply_cmvn(FeatureMatrix(x, 0.01)).rows
+        monkeypatch.setattr(frontend, "_same_rows", never_same)
+        assert apply_cmvn(FeatureMatrix(x, 0.01)).rows.tobytes() == got.tobytes()
+        np.testing.assert_allclose(got, ref_cmvn(x, 301), atol=1e-9)
+
     def test_rfft_sees_one_block_at_a_time(self, monkeypatch):
-        audio = speech_tone_silence(50.0, 5.0)
+        audio = speech_tone_silence(10.0, 5.0)
         rows = []
         rfft = np.fft.rfft
 
@@ -363,7 +406,7 @@ class TestBlocks:
         monkeypatch.setattr(np.fft, "rfft", record)
         feats = compute_mfcc(audio)
         assert feats.num_frames > 2 * frontend.FRONTEND_BLOCK_FRAMES
-        assert len(rows) == 3 and sum(rows) == feats.num_frames
+        assert len(rows) == 4 and sum(rows) == feats.num_frames
         assert max(rows) <= frontend.FRONTEND_BLOCK_FRAMES
 
     def test_peak_memory_does_not_grow_with_the_stream(self):

@@ -1,5 +1,6 @@
 """TDNN forward pass, extraction protocol, and binary formats."""
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -20,7 +21,6 @@ from speechseg.errors import (
 from speechseg.frontend import FeatureMatrix
 from speechseg.xvector import (
     BLOCK_FRAMES,
-    PACK_FRAMES,
     AffineLayer,
     ExtractionConfig,
     StatsPool,
@@ -197,6 +197,18 @@ class TestNetValidation:
             XVectorNet(no_pool)
 
 
+def traced(fn, *args):
+    """fn(*args) with the bytes it left allocated and its peak, by
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
 # -----------------------------------------------------------------------------
 # weight file
 # -----------------------------------------------------------------------------
@@ -218,6 +230,13 @@ class TestWeightsFormat:
         back = load_weights(path)
         x = np.random.default_rng(4).standard_normal((60, 30))
         assert np.array_equal(forward_window(net, x), forward_window(back, x))
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        # the arrays are read-only views of the bytes read, not copies
+        path = tmp_path / "m.xvnw"
+        save_weights(make_test_net(seed=3), path)
+        _, _, peak = traced(load_weights, path)
+        assert peak < 1.25 * path.stat().st_size
 
     def test_nan_in_file_rejected(self, tmp_path):
         path = tmp_path / "m.xvnw"
@@ -300,13 +319,13 @@ class TestExtraction:
             extract_sequence(make_test_net(preset="small"), feats_of(0.4))
 
     def test_values_match_forward_of_slice(self):
-        # 2 s: one block; 40.3 s: three blocks, windows straddling block
+        # 2 s: one block; 20.3 s: three blocks, windows straddling block
         # boundaries and a clamped tail; 0.1 s windows are shorter than the
         # receptive field, so each takes the padded path
         net = make_test_net(preset="small")
         short = ExtractionConfig(window_s=0.1, stride_s=0.05, min_window_s=0.05)
         for duration, cfg in ((2.0, ExtractionConfig()),
-                              (40.3, ExtractionConfig()), (3.0, short)):
+                              (20.3, ExtractionConfig()), (3.0, short)):
             feats = feats_of(duration)
             vecs = extract_sequence(net, feats, cfg)
             rows = [window_rows(feats, v) for v in vecs]
@@ -335,13 +354,29 @@ class TestExtraction:
             return frame_layers(net, x)
 
         monkeypatch.setattr(xvector, "_frame_layers", record)
-        feats = feats_of(40.3)
+        feats = feats_of(20.3)
         vecs = extract_sequence(make_test_net(preset="small"), feats)
         rows = [window_rows(feats, v) for v in vecs]
         assert feats.num_frames > 2 * BLOCK_FRAMES
-        assert rows[-1] == (3900, 4030)  # clamped tail
+        assert rows[-1] == (1950, 2030)  # clamped tail
         assert any(a < BLOCK_FRAMES < b for a, b in rows)
         assert len(passes) == 3 and max(passes) <= BLOCK_FRAMES
+
+    def test_peak_memory_is_one_block(self):
+        # the float64 working set of the widest frame layer on a block of
+        # BLOCK_FRAMES rows (stacked input, output, weights); besides the
+        # embeddings it returns, nothing grows with the stream
+        net = make_test_net(seed=3)
+        block = 8 * max(
+            BLOCK_FRAMES * (l.weight.shape[1] + l.out_dim) + l.weight.size
+            for l in net.frame_layers
+        )
+        above_output = []
+        for seconds in (60.0, 300.0):
+            _, kept, peak = traced(extract_sequence, net, feats_of(seconds))
+            above_output.append(peak - kept)
+        assert max(above_output) < block + 2**20
+        assert abs(above_output[1] - above_output[0]) < 2**18
 
     @given(
         duration=st.floats(0.5, 40.0),
@@ -412,7 +447,7 @@ class TestStreams:
     )
     @example(frames=[40, 150, BLOCK_FRAMES + 700, 49, 150], seed=1,
              short_windows=False)
-    @example(frames=[150] * (PACK_FRAMES // 150 + 1) + [30], seed=2,
+    @example(frames=[150] * (BLOCK_FRAMES // 150 + 1) + [30], seed=2,
              short_windows=False)
     @settings(max_examples=40, deadline=None)
     def test_packed_matches_per_stream(self, frames, seed, short_windows):
@@ -451,14 +486,14 @@ class TestStreams:
 
         monkeypatch.setattr(xvector, "_frame_layers", record)
         # clips of 150 rows, five to a block; a 1,600-row stream too long
-        # to pack, cut at a window start into 1,500 and 175 rows; then a
+        # to pack, cut at window starts into 750, 750 and 250 rows; then a
         # clip that packs onto its last block
         streams = [feats_of(1.5, seed=k) for k in range(12)]
         streams += [feats_of(16.0, seed=12), feats_of(1.5, seed=13)]
         got = list(extract_streams(make_test_net(preset="small"), streams))
         assert [len(g) for g in got] == [1] * 12 + [21, 1]
-        assert PACK_FRAMES == 750
-        assert passes == [750, 750, 300, BLOCK_FRAMES, 175 + 150]
+        assert BLOCK_FRAMES == 750
+        assert passes == [750, 750, 300, 750, 750, 250 + 150]
 
     def test_reads_lazily(self):
         # the first result is out once the first block is full, long
@@ -472,7 +507,7 @@ class TestStreams:
 
         out = extract_streams(make_test_net(preset="small"), streams())
         next(out)
-        assert len(pulled) == PACK_FRAMES // 150 + 1
+        assert len(pulled) == BLOCK_FRAMES // 150 + 1
 
     def test_dim_mismatch(self):
         streams = [feats_of(1.5), feats_of(1.5, dim=20)]
