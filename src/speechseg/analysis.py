@@ -8,7 +8,6 @@ there is no approximate (Barnes-Hut) path.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from .errors import (
     InvalidConfig,
     NonFiniteInput,
     PerplexityTooLarge,
-    read_text,
 )
 
 # Early exaggeration and the momentum switch both end at this iteration.
@@ -41,9 +39,6 @@ class PcaResult:
     @property
     def k(self) -> int:
         return self.components.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return self.reduced @ self.components + self.mean
 
 
 @dataclass(frozen=True)
@@ -226,13 +221,3 @@ def write_projection_csv(
         for (px, py), lab, src in zip(coords, labels, source_ids):
             writer.writerow([repr(float(px)), repr(float(py)), lab, src])
 
-
-def read_projection_csv(path: str | Path):
-    text = read_text(path, newline="")
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows or rows[0] != ["x", "y", "label", "source-id"]:
-        raise InvalidConfig(f"{path}: missing projection header")
-    coords = np.array([[float(r[0]), float(r[1])] for r in rows[1:]])
-    labels = [r[2] for r in rows[1:]]
-    source_ids = [r[3] for r in rows[1:]]
-    return coords.reshape(-1, 2), labels, source_ids

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioTooShort, InvalidConfig, UnsortedInput
+from .errors import AudioTooShort, InvalidConfig
 from .frontend import AudioBuffer
 from .segments import Segment, check_sorted
 

@@ -85,12 +85,6 @@ class CalibratedLinearModel:
     def probability(self, x: np.ndarray) -> float:
         return sigmoid_probability(self.calib_A, self.calib_B, self.raw_score(x))
 
-    def with_threshold(self, threshold: float) -> "CalibratedLinearModel":
-        return CalibratedLinearModel(
-            self.w, self.b, self.calib_A, self.calib_B, threshold,
-            self.train_C, self.train_folds, self.train_seed,
-        )
-
 
 def sigmoid_probability(a: float, b: float, score: float) -> float:
     z = a * score + b
@@ -217,7 +211,14 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int):
 
 
 def _fit_sigmoid(scores: np.ndarray, is_pos: np.ndarray):
-    """Regularized ML sigmoid fit (damped Newton, max 100 iters)."""
+    """Regularized ML sigmoid fit (damped Newton, max 100 iters).
+
+    Raises CalibrationDegenerate when the scores are all identical or the
+    fitted slope is not negative, so the scores do not separate the
+    classes.
+    """
+    if scores.max() - scores.min() < 1e-12:
+        raise CalibrationDegenerate("all calibration scores identical")
     n_pos = int(is_pos.sum())
     n_neg = len(is_pos) - n_pos
     hi = (n_pos + 1.0) / (n_pos + 2.0)
@@ -265,6 +266,11 @@ def _fit_sigmoid(scores: np.ndarray, is_pos: np.ndarray):
             scale *= 0.5
         else:
             break
+    if not a < 0:
+        raise CalibrationDegenerate(
+            "calibration slope is not negative; scores do not separate "
+            "the classes"
+        )
     return a, b
 
 
@@ -291,14 +297,7 @@ def platt_calibrate(
         w, b = train_linear_svm(raw[~held], labels[~held], fold_cfg)
         scores[held] = x[held] @ w + b
 
-    if scores.max() - scores.min() < 1e-12:
-        raise CalibrationDegenerate("all cross-validation scores identical")
     a, b_cal = _fit_sigmoid(scores, y > 0)
-    if not a < 0:
-        raise CalibrationDegenerate(
-            "calibration slope is not negative; scores do not separate "
-            "the classes"
-        )
 
     w, b = train_linear_svm(raw, labels, cfg)
     return CalibratedLinearModel(
@@ -321,20 +320,8 @@ def recalibrate(
     if is_pos.all() or not is_pos.any():
         raise SingleClassData("recalibration needs both classes")
     scores = np.array([model.raw_score(row) for row in x])
-    if scores.max() - scores.min() < 1e-12:
-        raise CalibrationDegenerate("all recalibration scores identical")
     a, b_cal = _fit_sigmoid(scores, is_pos)
-    if not a < 0:
-        raise CalibrationDegenerate(
-            "calibration slope is not negative; scores do not separate "
-            "the classes"
-        )
-    return CalibratedLinearModel(
-        model.w, model.b, a, b_cal,
-        decision_threshold=model.decision_threshold,
-        train_C=model.train_C, train_folds=model.train_folds,
-        train_seed=model.train_seed,
-    )
+    return replace(model, calib_A=a, calib_B=b_cal)
 
 
 # -----------------------------------------------------------------------------

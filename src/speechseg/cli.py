@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .dataprep import (
     realign_segments,
     write_manifest,
 )
-from .errors import EmptyInput, SpeechSegError, StreamTooShort
+from .errors import EmptyInput, SpeechSegError
 from .frontend import apply_cmvn, compute_mfcc, read_wav, write_wav
 from .metrics import (
     condition_frames,
@@ -183,10 +184,7 @@ def _cmd_extract(cfg):
 
     def one(item):
         file_id, path = item
-        try:
-            vecs = extract_sequence(net, _features(path), extraction)
-        except StreamTooShort:
-            vecs = []
+        vecs = extract_sequence(net, _features(path), extraction)
         out = out_dir / f"{file_id}.xvec"
         save_archive(vecs, out)
         return {
@@ -259,7 +257,9 @@ def _cmd_threshold(cfg):
     ]
     report = select_threshold(scored, cfg["target_fpr"])
     if cfg["out"] is not None:
-        save_model(model.with_threshold(report.threshold), cfg["out"])
+        save_model(
+            replace(model, decision_threshold=report.threshold), cfg["out"]
+        )
     return {
         "model": cfg["model"],
         "manifest": cfg["manifest"],
@@ -282,7 +282,6 @@ def _cmd_segment(cfg):
     model = load_model(cfg["model"]) if cfg["model"] is not None else None
     pipeline_cfg = PipelineConfig(
         strategy=cfg["strategy"],
-        vad_probability_threshold=cfg["vad_threshold"],
         noise_proportion_threshold=cfg["noise_proportion"],
         cluster_distance_threshold=cfg["cluster_threshold"],
         extraction=_extraction_config(cfg),
@@ -536,7 +535,8 @@ COMMANDS = {
             Opt("net", str, help="TDNN weight file", required=True),
             Opt("target_fpr", float, help="highest acceptable FPR",
                 required=True),
-            Opt("out", str, help="write the re-thresholded model here"),
+            Opt("out", str, help="write the re-thresholded model here; "
+                "segment cuts at its threshold"),
             *_EXTRACTION,
         ],
         _cmd_threshold,
@@ -551,7 +551,6 @@ COMMANDS = {
             Opt("model", str, help="classifier model JSON"),
             Opt("audio", str, help="single input WAV"),
             Opt("manifest", str, help="batch input manifest TSV"),
-            Opt("vad_threshold", float, 0.5, "speech probability cut"),
             Opt("noise_proportion", float, 0.5,
                 "segment rejection proportion"),
             Opt("cluster_threshold", float, 0.35,
@@ -733,6 +732,9 @@ def _resolve(args) -> dict:
         if o.required and cfg[o.key] is None:
             raise UsageError(f"missing required {o.flag}")
         present = cfg[o.key] is not None
+        # argparse's float() and json both take nan and inf
+        if o.typ is float and present and not math.isfinite(cfg[o.key]):
+            raise UsageError(f"{o.flag} must be finite, got {cfg[o.key]}")
         if o.choices is not None and present and cfg[o.key] not in o.choices:
             raise UsageError(
                 f"{o.flag} must be one of "

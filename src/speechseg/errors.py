@@ -58,10 +58,6 @@ class EmptyInput(SpeechSegError):
     """Operation requires at least one frame or vector."""
 
 
-class StreamTooShort(SpeechSegError):
-    """Feature stream shorter than the minimum extraction window."""
-
-
 class IoFailure(SpeechSegError):
     """Underlying read or write failed."""
 
@@ -147,11 +143,11 @@ class PerplexityTooLarge(SpeechSegError):
 
 # -- text files ---------------------------------------------------------------
 
-def read_text(path: str | Path, newline: str | None = None) -> str:
+def read_text(path: str | Path) -> str:
     """The UTF-8 text of a file, read with open()'s newline handling; a
     byte that is not UTF-8 raises UnsupportedEncoding naming the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as e:
         raise UnsupportedEncoding(

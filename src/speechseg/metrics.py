@@ -35,14 +35,18 @@ CONDITIONS = (
 )
 SPEECH_CONDITIONS = CONDITIONS[:3]
 
-VAD_FRAME_PERIOD_S = 0.010
-
 
 # -----------------------------------------------------------------------------
 # Rasterization
 # -----------------------------------------------------------------------------
 
 def _frame_total(duration_s: float, period_s: float) -> int:
+    # written so that a NaN period or duration fails the check too
+    if not (period_s > 0 and duration_s >= 0):
+        raise InvalidConfig(
+            f"frame period must be positive and duration nonnegative, "
+            f"got period {period_s} and duration {duration_s}"
+        )
     # ceil(duration/period), robust to duration being a rounded multiple
     return int(np.ceil(duration_s / period_s - 1e-9))
 
@@ -53,8 +57,6 @@ def rasterize(
     stream_duration_s: float,
 ) -> FrameDecisionTrack:
     """Frame i is 1 iff its center (i+0.5)*period lies in a segment."""
-    if frame_period_s <= 0 or stream_duration_s < 0:
-        raise InvalidConfig("period must be positive, duration nonnegative")
     n = _frame_total(stream_duration_s, frame_period_s)
     decisions = np.zeros(n, dtype=np.int8)
     centers = (np.arange(n) + 0.5) * frame_period_s

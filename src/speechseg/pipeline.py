@@ -6,6 +6,8 @@ model), one AHC pass clusters the embedding matrix of the windows the
 strategy picks, and every window gets one DecisionRecord (span,
 probability, speech or noise by the probability cut, cluster id), which
 is what the decision log, segment building and segment filtering read.
+The cut is the model's own decision_threshold: `train` writes 0.5 and
+`threshold --out` writes the operating point picked for a target FPR.
 They differ in three things only:
 
 - baseline: adaptive-energy VAD per 30 ms frame, median filter, gap merge;
@@ -41,7 +43,7 @@ from .baseline import (
     merge_segments,
 )
 from .classifier import CalibratedLinearModel
-from .errors import EmptyInput, InvalidConfig, StreamTooShort
+from .errors import EmptyInput, InvalidConfig
 from .frontend import AudioBuffer, FeatureMatrix, apply_cmvn, compute_mfcc, read_wav
 from .segments import Segment, check_sorted
 from .xvector import (
@@ -58,7 +60,6 @@ STRATEGIES = ("baseline", "xvector_filt", "xvector_seg_filt")
 @dataclass(frozen=True)
 class PipelineConfig:
     strategy: str
-    vad_probability_threshold: float = 0.5
     noise_proportion_threshold: float = 0.5   # rho
     cluster_distance_threshold: float = 0.35  # delta, cosine
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
@@ -71,8 +72,6 @@ class PipelineConfig:
             raise InvalidConfig(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if not 0.0 <= self.vad_probability_threshold <= 1.0:
-            raise InvalidConfig("vad_probability_threshold must lie in [0, 1]")
         if not 0.0 <= self.noise_proportion_threshold <= 1.0:
             raise InvalidConfig("noise_proportion_threshold must lie in [0, 1]")
         if self.cluster_distance_threshold < 0.0:
@@ -198,14 +197,13 @@ def filter_segments(
     decisions: list[DecisionRecord],
     segments: list[Segment],
     noise_proportion_threshold: float,
-    p_threshold: float = 0.5,
 ) -> list[Segment]:
     """Drop segments whose attributed windows are mostly noise.
 
     A window belongs to the first segment containing its center. A segment
-    is rejected iff the fraction of its windows whose probability is below
-    p_threshold strictly exceeds the noise proportion threshold; segments
-    with no attributed window are rejected too.
+    is rejected iff the fraction of its windows labeled noise strictly
+    exceeds the noise proportion threshold; segments with no attributed
+    window are rejected too.
     """
     totals = [0] * len(segments)
     noise = [0] * len(segments)
@@ -214,7 +212,7 @@ def filter_segments(
         for k, seg in enumerate(segments):
             if seg.start_s <= center < seg.end_s:
                 totals[k] += 1
-                if d.probability < p_threshold:
+                if d.label == "noise":
                     noise[k] += 1
                 break
     return [
@@ -266,19 +264,21 @@ def _silent_window(audio: AudioBuffer, vec: XVector) -> bool:
 def _decide(vectors, cfg, model):
     """Score, cluster and log every window: one DecisionRecord each.
 
-    xvector_filt clusters only the windows at or above the probability
-    cut, on raw directions: that set is single-class by construction, so
+    A window is speech when its probability is at or above the model's
+    decision_threshold; without a model every window has probability 1.0
+    and is speech. xvector_filt clusters only the speech windows, on raw
+    directions: that set is single-class by construction, so
     recording-level centering would only amplify residual noise. The
     other strategies cluster every window on centered directions. A
     window left out of clustering is logged with cluster -1.
     """
-    probs = [
-        model.probability(v.values) if model is not None else 1.0
-        for v in vectors
-    ]
-    p_cut = cfg.vad_probability_threshold
+    if model is None:
+        probs, cut = [1.0] * len(vectors), 1.0
+    else:
+        probs = [model.probability(v.values) for v in vectors]
+        cut = model.decision_threshold
     if cfg.strategy == "xvector_filt":
-        picked = [i for i, p in enumerate(probs) if p >= p_cut]
+        picked = [i for i, p in enumerate(probs) if p >= cut]
     else:
         picked = list(range(len(vectors)))
     ids = [-1] * len(vectors)
@@ -295,7 +295,7 @@ def _decide(vectors, cfg, model):
             v.window_start_s,
             v.window_end_s,
             probs[i],
-            "speech" if probs[i] >= p_cut else "noise",
+            "speech" if probs[i] >= cut else "noise",
             ids[i],
         )
         for i, v in enumerate(vectors)
@@ -303,11 +303,7 @@ def _decide(vectors, cfg, model):
 
 
 def _run_xvector(audio, cfg, model, net):
-    try:
-        feats = _features(audio)
-        vectors = extract_sequence(net, feats, cfg.extraction)
-    except StreamTooShort:
-        return [], [], []
+    vectors = extract_sequence(net, _features(audio), cfg.extraction)
     vectors = [v for v in vectors if not _silent_window(audio, v)]
     if not vectors:
         return [], [], []
@@ -316,8 +312,7 @@ def _run_xvector(audio, cfg, model, net):
     runs = _runs_to_segments(decisions, cfg.extraction.stride_s)
     if cfg.strategy == "xvector_seg_filt":
         runs = filter_segments(
-            decisions, runs, cfg.noise_proportion_threshold,
-            cfg.vad_probability_threshold,
+            decisions, runs, cfg.noise_proportion_threshold
         )
     return merge_segments(runs, cfg.merge_gap_s), vectors, decisions
 

@@ -62,7 +62,6 @@ from .errors import (
     InvalidConfig,
     IoFailure,
     NonFiniteWeight,
-    StreamTooShort,
 )
 from .frontend import FeatureMatrix
 
@@ -103,10 +102,6 @@ class AffineLayer:
     bias: np.ndarray
     bn_mean: np.ndarray
     bn_var: np.ndarray
-
-    @property
-    def activation(self) -> bool:
-        return self.kind == "frame"
 
     @property
     def span(self) -> int:
@@ -415,13 +410,7 @@ def extract_sequence(
     cfg: ExtractionConfig = ExtractionConfig(),
 ) -> list[XVector]:
     """Embeddings over one stream's sliding window grid: extract_streams
-    on a single stream, raising StreamTooShort where that yields nothing
-    because the stream is shorter than min_window_s."""
-    if feats.span_s < cfg.min_window_s:
-        raise StreamTooShort(
-            f"stream of {feats.span_s:.3f}s is shorter than the "
-            f"{cfg.min_window_s}s minimum window"
-        )
+    on a single stream, so [] for a stream shorter than min_window_s."""
     return next(extract_streams(net, [feats], cfg))
 
 

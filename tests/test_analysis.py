@@ -1,4 +1,6 @@
 """Tests for PCA reduction and the exact t-SNE embedding."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from speechseg.analysis import (
     PcaResult,
     calibrate_conditionals,
     pca_reduce,
-    read_projection_csv,
     tsne_embed,
     write_projection_csv,
 )
@@ -70,7 +71,8 @@ class TestPcaReduce:
         x = scores @ basis + rng.standard_normal(20)
         res = pca_reduce(x, target_variance=0.999999)
         assert res.k == 3
-        assert np.max(np.abs(res.reconstruct() - x)) < 1e-6
+        back = res.reduced @ res.components + res.mean
+        assert np.max(np.abs(back - x)) < 1e-6
 
     def test_ratios_sum_to_one_and_decrease(self):
         rng = np.random.default_rng(2)
@@ -211,16 +213,18 @@ class TestProjectionCsv:
         sources = ["srcA", "srcB"]
         p = tmp_path / "proj.csv"
         write_projection_csv(coords, labels, sources, p)
-        got_coords, got_labels, got_sources = read_projection_csv(p)
-        assert np.array_equal(got_coords, coords)
-        assert got_labels == labels
-        assert got_sources == sources
+        with open(p, encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["x", "y", "label", "source-id"]
+        got = np.array([[float(r[0]), float(r[1])] for r in rows])
+        assert np.array_equal(got, coords)
+        assert [r[2] for r in rows] == labels
+        assert [r[3] for r in rows] == sources
 
     def test_header_enforced(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("a,b,c\n", encoding="utf-8")
-        with pytest.raises(InvalidConfig):
-            read_projection_csv(p)
+        p = tmp_path / "empty.csv"
+        write_projection_csv(np.zeros((0, 2)), [], [], p)
+        assert p.read_bytes() == b"x,y,label,source-id\r\n"
 
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(InvalidConfig):
@@ -232,4 +236,4 @@ class TestProjectionCsv:
         res = PcaResult(
             np.zeros((3, 1)), np.array([1.0]), np.ones((1, 4)), np.zeros(4)
         )
-        assert res.reconstruct().shape == (3, 4)
+        assert (res.reduced @ res.components + res.mean).shape == (3, 4)

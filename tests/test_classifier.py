@@ -1,5 +1,6 @@
 """L1 normalization, SVM training, calibration, thresholding, model I/O."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestSelectThreshold:
 class TestModelIo:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = platt_calibrate(*blob_dataset(n_per_class=20, dim=16))
-        model = model.with_threshold(1 / 3)
+        model = replace(model, decision_threshold=1 / 3)
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)

@@ -5,6 +5,7 @@ are observable directly; one test goes through the installed console
 script to prove the packaging wiring. Reports are validated against the
 schemas shipped inside the package.
 """
+import csv
 import json
 import os
 import re
@@ -21,7 +22,6 @@ import pytest
 
 from speechseg.classifier import load_model
 from speechseg.cli import COMMANDS, main
-from speechseg.analysis import read_projection_csv
 from speechseg.dataprep import read_ctm, read_manifest
 from speechseg.errors import UnsupportedEncoding
 from speechseg.frontend import (
@@ -549,6 +549,45 @@ class TestSegmentCommand:
         for key in ("tsv", "rttm", "xvec", "log"):
             assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes()
 
+    def test_cuts_at_the_model_threshold(self, work, tmp_path, run_json):
+        tuned = tmp_path / "m2.json"
+        run_json(["threshold", "--model", str(work / "model.json"),
+                  "--manifest", str(work / "train.tsv"),
+                  "--net", str(work / "net.xvnw"),
+                  "--target-fpr", "0.05", "--out", str(tuned)])
+        cut = load_model(tuned).decision_threshold
+        assert cut != 0.5
+        tsv = {}
+        for name, model in (("base", work / "model.json"), ("tuned", tuned)):
+            doc = run_json(["segment", "--strategy", "xvector_filt",
+                            "--audio", str(work / "mix.wav"),
+                            "--net", str(work / "net.xvnw"),
+                            "--model", str(model),
+                            "--out", str(tmp_path / name)])
+            tsv[name] = Path(doc["files"][0]["tsv"]).read_bytes()
+        log = Path(doc["files"][0]["log"]).read_text(encoding="utf-8")
+        for line in log.splitlines():
+            _, _, p, label, _ = line.split()
+            assert label == ("speech" if float(p) >= cut else "noise"), line
+        assert tsv["tuned"] != tsv["base"]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_no_second_probability_cut(self, work, tmp_path, capsys, how):
+        argv = ["segment", "--strategy", "xvector_filt",
+                "--audio", str(work / "mix.wav"),
+                "--net", str(work / "net.xvnw"),
+                "--model", str(work / "model.json"),
+                "--out", str(tmp_path / "x")]
+        if how == "flag":
+            argv += ["--vad-threshold", "0.5"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"vad_threshold": 0.5}', encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        assert "vad" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_baseline_needs_no_model(self, work, tmp_path, run_json):
         doc = run_json(["segment", "--strategy", "baseline",
                         "--audio", str(work / "mix.wav"),
@@ -610,7 +649,79 @@ class TestSegmentCommand:
         assert [f["id"] for f in doc["files"]] == ["sp0", "tn0"]
 
 
+class TestNonFiniteOptions:
+    """A NaN or infinite float option is a usage error naming the flag,
+    whether it comes from the command line or from --config."""
+
+    def eval_vad(self, tmp_path, *extra):
+        hyp = tmp_path / "hyp.tsv"
+        cond = tmp_path / "cond.tsv"
+        hyp.write_text("0.0\t4.0\tspeech\n", encoding="utf-8")
+        cond.write_text("0.0\t4.0\tclean_speech\n", encoding="utf-8")
+        return ["eval-vad", "--hyp", str(hyp), "--conditions", str(cond),
+                *extra]
+
+    @pytest.mark.parametrize("extra,flag", [
+        (("--duration", "inf"), "--duration"),
+        (("--duration", "nan"), "--duration"),
+        (("--duration", "10", "--period", "nan"), "--period"),
+    ], ids=["duration-inf", "duration-nan", "period-nan"])
+    def test_eval_vad(self, tmp_path, capsys, extra, flag):
+        assert run(self.eval_vad(tmp_path, *extra)) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err and "Traceback" not in err
+
+    def test_gen_test_audio_duration(self, tmp_path, capsys):
+        out = tmp_path / "t.wav"
+        code = run(["gen-test-audio", "--kind", "tone", "--out", str(out),
+                    "--duration", "nan"])
+        assert code == 2
+        assert "--duration must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_segment_cluster_threshold(self, work, tmp_path, capsys):
+        out = tmp_path / "seg"
+        code = run(["segment", "--strategy", "xvector_seg_filt",
+                    "--audio", str(work / "mix.wav"),
+                    "--net", str(work / "net.xvnw"),
+                    "--model", str(work / "model.json"),
+                    "--out", str(out), "--cluster-threshold", "nan"])
+        assert code == 2
+        assert "--cluster-threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_svm_c(self, work, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run(["train", "--manifest", str(work / "train.tsv"),
+                    "--net", str(work / "net.xvnw"), "--out", str(out),
+                    "--svm-c", "nan"])
+        assert code == 2
+        assert "--svm-c must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_config_value(self, tmp_path, capsys, value):
+        # Python's json reads these three words as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"period": {value}}}', encoding="utf-8")
+        argv = self.eval_vad(tmp_path, "--duration", "10",
+                             "--config", str(cfg))
+        assert run(argv) == 2
+        assert "--period must be finite" in capsys.readouterr().err
+
+
 class TestEvalCommands:
+    def test_eval_vad_zero_period_is_domain_error(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.tsv"
+        cond = tmp_path / "cond.tsv"
+        hyp.write_text("0.0\t4.0\tspeech\n", encoding="utf-8")
+        cond.write_text("0.0\t4.0\tclean_speech\n", encoding="utf-8")
+        code = run(["eval-vad", "--hyp", str(hyp), "--conditions", str(cond),
+                    "--duration", "10", "--period", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidConfig" in err and "period" in err
+
     def test_eval_vad_exact_hypothesis(self, tmp_path, run_json):
         hyp = tmp_path / "hyp.tsv"
         cond = tmp_path / "cond.tsv"
@@ -699,7 +810,7 @@ class TestEvalCommands:
 
 @pytest.mark.parametrize("reader", [
     read_tsv, read_ctm, read_manifest, read_transcripts,
-    read_condition_labels, read_projection_csv, load_model,
+    read_condition_labels, load_model,
 ])
 def test_text_readers_reject_non_utf8(tmp_path, reader):
     path = tmp_path / "bad.txt"
@@ -773,7 +884,11 @@ class TestDataCommands:
                         "--net", str(work / "net.xvnw"),
                         "--out", str(out),
                         "--perplexity", "5", "--iters", "250"])
-        coords, labels, sources = read_projection_csv(out)
+        with open(out, encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["x", "y", "label", "source-id"]
+        coords = np.array([[float(r[0]), float(r[1])] for r in rows])
+        labels = [r[2] for r in rows]
         assert coords.shape == (doc["n"], 2)
         assert doc["n"] == 16
         assert set(labels) == {"speech", "noise"}

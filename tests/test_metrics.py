@@ -63,6 +63,15 @@ class TestRasterize:
         with pytest.raises(SegmentOutOfBounds):
             rasterize([Segment(0.5, 3.0, "speech")], 0.01, 2.0)
 
+    @pytest.mark.parametrize("period,duration", [
+        (0.0, 2.0), (-0.01, 2.0), (0.01, -1.0), (float("nan"), 2.0),
+        (0.01, float("nan")),
+    ])
+    @pytest.mark.parametrize("grid", [rasterize, condition_frames])
+    def test_bad_grid_rejected(self, grid, period, duration):
+        with pytest.raises(InvalidConfig):
+            grid([], period, duration)
+
 
 class TestRoc:
     def test_perfect_separation_through_0_1(self):

@@ -1,6 +1,7 @@
 """Clustering, probability filtering, and the three segmentation strategies."""
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,11 +188,12 @@ class TestClusteredSequence:
         assert cluster_ahc(vecs, 0.35).cluster_ids == [0, 1, 0, 2, 1]
 
 
-def clustered_at(centers_probs):
-    """Decision records of 1.5 s windows centered at the given times."""
+def clustered_at(centers_probs, cut=0.5):
+    """Decision records of 1.5 s windows centered at the given times,
+    labeled as a model with decision threshold cut labels them."""
     return [
         DecisionRecord(c - 0.75, c + 0.75, p,
-                       "speech" if p >= 0.5 else "noise", 0)
+                       "speech" if p >= cut else "noise", 0)
         for c, p in centers_probs
     ]
 
@@ -223,11 +225,12 @@ class TestFilterSegments:
         segs = [Segment(0.0, 4.0, "spk0"), Segment(2.0, 6.0, "spk1")]
         assert filter_segments(seq, segs, 0.5) == [segs[0]]
 
-    def test_probability_cut_is_configurable(self):
-        seq = clustered_at([(0.5, 0.4), (1.5, 0.4)])
+    def test_noise_counts_follow_decision_labels(self):
+        # the same probabilities, labeled by models cut at 0.5 and at 0.3
+        centers = [(0.5, 0.4), (1.5, 0.4)]
         segs = [Segment(0.0, 2.0, "spk0")]
-        assert filter_segments(seq, segs, 0.5) == []
-        assert filter_segments(seq, segs, 0.5, p_threshold=0.3) == segs
+        assert filter_segments(clustered_at(centers), segs, 0.5) == []
+        assert filter_segments(clustered_at(centers, 0.3), segs, 0.5) == segs
 
 
 def speech_eval(result, duration_s=10.0):
@@ -269,27 +272,32 @@ class TestRunPipeline:
         self, net, model, fixture_audio
     ):
         cfg = PipelineConfig(strategy="xvector_filt")
-        res = run_pipeline(fixture_audio, cfg, model=model, net=net)
-        for d in res.decisions:
-            if d.cluster >= 0:
-                assert d.probability >= cfg.vad_probability_threshold
-            else:
-                assert d.probability < cfg.vad_probability_threshold
-        kept_starts = {d.start_s for d in res.decisions if d.cluster >= 0}
-        kept_ends = {d.end_s for d in res.decisions if d.cluster >= 0}
-        for seg in res.segments:
-            assert seg.start_s in kept_starts
-            assert seg.end_s in kept_ends
+        kept = []
+        for cut in (0.5, 0.9):
+            tuned = replace(model, decision_threshold=cut)
+            res = run_pipeline(fixture_audio, cfg, model=tuned, net=net)
+            for d in res.decisions:
+                assert (d.cluster >= 0) == (d.probability >= cut)
+            kept_starts = {d.start_s for d in res.decisions if d.cluster >= 0}
+            kept_ends = {d.end_s for d in res.decisions if d.cluster >= 0}
+            for seg in res.segments:
+                assert seg.start_s in kept_starts
+                assert seg.end_s in kept_ends
+            kept.append(kept_starts)
+        # the fixture has windows between the two cuts
+        assert kept[1] < kept[0]
 
     def test_strategies_agree_on_window_decisions(
         self, net, model, fixture_audio
     ):
+        # a cut away from 0.5, so the labels can only come from the model
+        cut = 0.9
+        tuned = replace(model, decision_threshold=cut)
         res = {
             s: run_pipeline(fixture_audio, PipelineConfig(strategy=s),
-                            model=model, net=net).decisions
+                            model=tuned, net=net).decisions
             for s in STRATEGIES
         }
-        cut = PipelineConfig(strategy="baseline").vad_probability_threshold
         filt, seg = res["xvector_filt"], res["xvector_seg_filt"]
 
         def window(d):
@@ -409,7 +417,7 @@ class TestPipelineConfig:
         "kwargs",
         [
             {"strategy": "bogus"},
-            {"strategy": "baseline", "vad_probability_threshold": 1.5},
+            {"strategy": "baseline", "noise_proportion_threshold": 1.5},
             {"strategy": "baseline", "noise_proportion_threshold": -0.1},
             {"strategy": "baseline", "cluster_distance_threshold": -1.0},
             {"strategy": "baseline", "baseline_aggressiveness": 5},
@@ -422,9 +430,10 @@ class TestPipelineConfig:
         with pytest.raises(InvalidConfig):
             PipelineConfig(**kwargs)
 
-    def test_defaults(self):
+    def test_defaults(self, model):
         cfg = PipelineConfig(strategy="xvector_filt")
-        assert cfg.vad_probability_threshold == 0.5
+        # the probability cut is the model's, and training writes 0.5
+        assert model.decision_threshold == 0.5
         assert cfg.noise_proportion_threshold == 0.5
         assert cfg.cluster_distance_threshold == 0.35
         assert cfg.merge_gap_s == 0.5
