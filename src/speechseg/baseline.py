@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AudioTooShort, InvalidConfig
-from .frontend import AudioBuffer
+from .frontend import FRONTEND_BLOCK_FRAMES, AudioBuffer
 from .segments import Segment, check_sorted
 
 FRAME_PERIOD_S = 0.030
@@ -66,8 +66,16 @@ def energy_vad_frames(
             f"need at least one {FRAME_PERIOD_S * 1000:.0f} ms frame"
         )
 
-    frames = audio.samples[: n * frame_len].reshape(n, frame_len)
-    energy_db = 10.0 * np.log10(np.mean(frames * frames, axis=1) + ENERGY_FLOOR)
+    # decode FRONTEND_BLOCK_FRAMES frames at a time; a frame's mean sums
+    # only its own row, so blocks give the bits of a whole-signal pass
+    energy_db = np.empty(n)
+    for f0 in range(0, n, FRONTEND_BLOCK_FRAMES):
+        f1 = min(f0 + FRONTEND_BLOCK_FRAMES, n)
+        frames = audio.decoded(f0 * frame_len, f1 * frame_len)
+        frames = frames.reshape(f1 - f0, frame_len)
+        energy_db[f0:f1] = 10.0 * np.log10(
+            np.mean(frames * frames, axis=1) + ENERGY_FLOOR
+        )
 
     margin = MARGINS_DB[aggressiveness]
     decisions = np.zeros(n, dtype=np.int8)

@@ -16,13 +16,18 @@ Conventions, shared with the reference DSP chain used in tests:
 * log energies floored at 1e-10 before the natural log;
 * orthonormal DCT-II truncated to num_ceps coefficients.
 
+A PCM16 file's samples stay int16, a view of the bytes read_wav read,
+and AudioBuffer.decoded turns one span of them into float64 when a block
+reads it, so no front-end path holds a float64 copy of a whole
+recording: for PCM16 input that copy would be four times the file.
+
 MFCC and CMVN run in blocks of at most FRONTEND_BLOCK_FRAMES (512)
 frames, so beyond the samples and the T x D output their peak memory is
 the same for a clip and for an hour-long recording: at 16 kHz, about
-8 MB of block buffers for MFCC and 2 MB for CMVN (tracemalloc).
-compute_mfcc pre-emphasizes, frames and transforms one block of samples
-at a time; a block's first pre-emphasized sample looks back at the
-sample before the block, as the whole-signal filter does. apply_cmvn
+6 MB of block buffers for MFCC and 2 MB for CMVN (tracemalloc).
+compute_mfcc decodes, pre-emphasizes, frames and transforms one block of
+samples at a time; a block's first pre-emphasized sample looks back at
+the sample before the block, as the whole-signal filter does. apply_cmvn
 streams its prefix sums: each block of rows continues the running sums
 from the first row its windows reach. The output is byte-identical to a
 whole-matrix pass, because every value goes through the same float64
@@ -57,6 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AudioTooShort,
@@ -82,25 +88,43 @@ FRONTEND_BLOCK_FRAMES = 512
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono PCM samples in [-1, 1] with their sample rate."""
+    """Mono samples with their sample rate.
+
+    ``samples`` is int16 PCM, whose values stand for sample / 32768, or
+    finite float64 values in [-1, 1]; any other dtype is converted to
+    float64. PCM16 samples stay int16 for the buffer's life, and readers
+    take float64 one span at a time through ``decoded``.
+    """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.float64)
-        )
+        samples = np.asarray(self.samples)
+        pcm = samples.dtype == np.int16
+        if not pcm:
+            samples = samples.astype(np.float64, copy=False)
+        object.__setattr__(self, "samples", samples)
         if self.sample_rate <= 0:
             raise InvalidConfig(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.samples.ndim != 1:
+        if samples.ndim != 1:
             raise InvalidConfig("AudioBuffer samples must be one-dimensional")
-        if self.samples.size and not np.isfinite(self.samples).all():
+        if not pcm and samples.size and not np.isfinite(samples).all():
             raise InvalidConfig("AudioBuffer samples must be finite")
 
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
+
+    def decoded(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Samples [start, stop) as float64: int16 PCM converted and then
+        divided by 32768.0, float samples as a view that callers must not
+        write to."""
+        x = self.samples[start:stop]
+        if x.dtype == np.int16:
+            x = x.astype(np.float64)
+            x /= 32768.0
+        return x
 
 
 @dataclass
@@ -145,8 +169,11 @@ _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 def read_wav(path: str | Path) -> AudioBuffer:
     """Decode a mono RIFF/WAVE file holding PCM16 or IEEE float samples.
 
-    WAVE_FORMAT_EXTENSIBLE files are read by the format tag in their
-    SubFormat GUID. Multi-channel files are rejected with ChannelMismatch.
+    PCM16 samples are kept as int16, a read-only view of the file's bytes;
+    IEEE float samples become float64 clipped to [-1, 1], and a non-finite
+    one raises InvalidConfig. WAVE_FORMAT_EXTENSIBLE files are read by the
+    format tag in their SubFormat GUID. Multi-channel files are rejected
+    with ChannelMismatch.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -210,10 +237,13 @@ def read_wav(path: str | Path) -> AudioBuffer:
     if channels > 1:
         raise ChannelMismatch(f"{path}: {channels} channels; need mono")
 
-    values = np.frombuffer(data, dtype=dtype).astype(np.float64)
     if audio_format == 1:
-        values /= 32768.0
-
+        # int16 / 32768 lies in [-1, 1), so PCM16 needs no clip
+        return AudioBuffer(
+            np.frombuffer(data, dtype=dtype).astype(np.int16, copy=False),
+            sample_rate,
+        )
+    values = np.frombuffer(data, dtype=dtype).astype(np.float64)
     return AudioBuffer(np.clip(values, -1.0, 1.0, out=values), sample_rate)
 
 
@@ -223,11 +253,11 @@ def write_wav(
     """Write mono audio as PCM16 (default) or float32 WAV."""
     if encoding == "pcm16":
         fmt_tag, bits = 1, 16
-        pcm = np.clip(np.round(audio.samples * 32768.0), -32768, 32767)
+        pcm = np.clip(np.round(audio.decoded() * 32768.0), -32768, 32767)
         payload = pcm.astype("<i2").tobytes()
     elif encoding == "float32":
         fmt_tag, bits = 3, 32
-        payload = audio.samples.astype("<f4").tobytes()
+        payload = audio.decoded().astype("<f4").tobytes()
     else:
         raise InvalidConfig(f"unknown encoding {encoding!r}")
 
@@ -307,15 +337,17 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _pre_emphasized(x: np.ndarray, a: int, b: int) -> np.ndarray:
+def _pre_emphasized(audio: AudioBuffer, a: int, b: int) -> np.ndarray:
     """Samples [a, b) of y[n] = x[n] - coef*x[n-1], y[0] = x[0]*(1 - coef),
-    with coef = PRE_EMPHASIS."""
+    with coef = PRE_EMPHASIS, decoding only samples [a - 1, b) of x."""
     coef = PRE_EMPHASIS
     if a > 0:
-        return x[a:b] - coef * x[a - 1 : b - 1]
+        x = audio.decoded(a - 1, b)
+        return x[1:] - coef * x[:-1]
+    x = audio.decoded(0, b)
     y = np.empty(b)
     y[0] = x[0] * (1.0 - coef)
-    y[1:] = x[1:b] - coef * x[: b - 1]
+    y[1:] = x[1:] - coef * x[:-1]
     return y
 
 
@@ -354,20 +386,15 @@ def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
     frame_len, shift, nfft, window, fbank, dct = _mfcc_constants(
         audio.sample_rate
     )
-    signal = audio.samples
-    if len(signal) < frame_len:
-        raise AudioTooShort(
-            f"{len(signal)} samples < one frame of {frame_len}"
-        )
+    n = len(audio.samples)
+    if n < frame_len:
+        raise AudioTooShort(f"{n} samples < one frame of {frame_len}")
 
-    T = frame_count(len(signal), frame_len, shift)
-    blocks = _blocks(T)
-    idx = np.arange(frame_len)[None, :] + shift * np.arange(blocks[0][1])[:, None]
+    T = frame_count(n, frame_len, shift)
     ceps = np.empty((T, NUM_CEPS))
-    for f0, f1 in blocks:
-        y = _pre_emphasized(signal, f0 * shift, (f1 - 1) * shift + frame_len)
-        frames = y[idx[: f1 - f0]]
-        frames *= window
+    for f0, f1 in _blocks(T):
+        y = _pre_emphasized(audio, f0 * shift, (f1 - 1) * shift + frame_len)
+        frames = sliding_window_view(y, frame_len)[::shift] * window
         spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
         log_energies = np.log(np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR))
         ceps[f0:f1] = log_energies @ dct.T

@@ -48,7 +48,13 @@ def _frame_total(duration_s: float, period_s: float) -> int:
             f"got period {period_s} and duration {duration_s}"
         )
     # ceil(duration/period), robust to duration being a rounded multiple
-    return int(np.ceil(duration_s / period_s - 1e-9))
+    frames = np.ceil(duration_s / period_s - 1e-9)
+    if not frames < np.iinfo(np.intp).max:
+        raise InvalidConfig(
+            f"duration {duration_s} s at a {period_s} s frame period gives "
+            f"{frames} frames, more than an index can count"
+        )
+    return int(frames)
 
 
 def rasterize(

@@ -27,7 +27,10 @@ where N is the clustering id of the run (dense before any filtering).
 
 Windows whose samples are all exactly zero carry no evidence and are
 skipped outright, so digital silence never reaches the classifier and an
-all-zero stream yields an empty segment list under every strategy.
+all-zero stream yields an empty segment list under every strategy. The
+test reads the buffer's own samples, int16 for a PCM16 file: the
+recording stays PCM16 through the whole run, and the front end and the
+energy VAD decode it to float64 one block at a time.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from .baseline import (
     merge_segments,
 )
 from .classifier import CalibratedLinearModel
-from .errors import EmptyInput, InvalidConfig
+from .errors import EmptyInput, InvalidConfig, UnsortedInput
 from .frontend import AudioBuffer, FeatureMatrix, apply_cmvn, compute_mfcc, read_wav
 from .segments import Segment, check_sorted
 from .xvector import (
@@ -203,18 +206,23 @@ def filter_segments(
     A window belongs to the first segment containing its center. A segment
     is rejected iff the fraction of its windows labeled noise strictly
     exceeds the noise proportion threshold; segments with no attributed
-    window are rejected too.
+    window are rejected too. Segments must be sorted by start, as
+    _runs_to_segments returns them; they may overlap.
     """
-    totals = [0] * len(segments)
-    noise = [0] * len(segments)
-    for d in decisions:
-        center = (d.start_s + d.end_s) / 2.0
-        for k, seg in enumerate(segments):
-            if seg.start_s <= center < seg.end_s:
-                totals[k] += 1
-                if d.label == "noise":
-                    noise[k] += 1
-                break
+    starts = np.array([s.start_s for s in segments])
+    if np.any(starts[1:] < starts[:-1]):
+        raise UnsortedInput("filter_segments needs segments sorted by start")
+    centers = np.array([(d.start_s + d.end_s) / 2.0 for d in decisions])
+    noisy = np.array([d.label == "noise" for d in decisions], dtype=bool)
+    # with starts sorted, the first segment whose end exceeds c is the
+    # first one whose running maximum of ends does; it contains c iff it
+    # starts at or before c, and else no segment does
+    reach = np.maximum.accumulate(np.array([s.end_s for s in segments]))
+    k = np.searchsorted(reach, centers, side="right")
+    hit = k < len(segments)
+    hit[hit] = starts[k[hit]] <= centers[hit]
+    totals = np.bincount(k[hit], minlength=len(segments))
+    noise = np.bincount(k[hit & noisy], minlength=len(segments))
     return [
         seg
         for k, seg in enumerate(segments)
@@ -256,6 +264,8 @@ def _features(audio: AudioBuffer):
 
 
 def _silent_window(audio: AudioBuffer, vec: XVector) -> bool:
+    """Whether every sample under the window is zero; a PCM16 sample is
+    zero exactly when its decoded value is."""
     a = int(round(vec.window_start_s * audio.sample_rate))
     b = int(round(vec.window_end_s * audio.sample_rate))
     return not np.any(audio.samples[a:b])

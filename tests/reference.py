@@ -277,3 +277,28 @@ def ref_cluster_ahc(values, distance_threshold, center=False):
         for t in group:
             ids[t] = cid
     return ids
+
+
+# -----------------------------------------------------------------------------
+# Segment filtering, as a windows x segments loop.
+# -----------------------------------------------------------------------------
+
+def ref_filter_segments(decisions, segments, noise_proportion_threshold):
+    """Keep a segment iff windows attributed to it exist and at most the
+    threshold fraction of them is labeled noise; a window is attributed
+    to the first segment whose [start, end) holds its center."""
+    totals = [0] * len(segments)
+    noise = [0] * len(segments)
+    for d in decisions:
+        center = (d.start_s + d.end_s) / 2.0
+        for k, seg in enumerate(segments):
+            if seg.start_s <= center < seg.end_s:
+                totals[k] += 1
+                if d.label == "noise":
+                    noise[k] += 1
+                break
+    return [
+        seg
+        for k, seg in enumerate(segments)
+        if totals[k] > 0 and noise[k] / totals[k] <= noise_proportion_threshold
+    ]

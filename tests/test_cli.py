@@ -722,6 +722,24 @@ class TestEvalCommands:
         assert code == 1
         assert "InvalidConfig" in err and "period" in err
 
+    # 10 s / 1e-300 is a frame count beyond any index, and 10 s / 1e-320
+    # (a subnormal) is infinite; a period whose count fits but cannot be
+    # allocated is deliberately not tried
+    @pytest.mark.parametrize("period", ["1e-300", "1e-320"])
+    def test_eval_vad_frame_count_overflow_is_domain_error(
+        self, tmp_path, capsys, period
+    ):
+        hyp = tmp_path / "hyp.tsv"
+        cond = tmp_path / "cond.tsv"
+        hyp.write_text("0.0\t4.0\tspeech\n", encoding="utf-8")
+        cond.write_text("0.0\t4.0\tclean_speech\n", encoding="utf-8")
+        code = run(["eval-vad", "--hyp", str(hyp), "--conditions", str(cond),
+                    "--duration", "10", "--period", period])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidConfig" in err and "frame period" in err
+        assert "Traceback" not in err
+
     def test_eval_vad_exact_hypothesis(self, tmp_path, run_json):
         hyp = tmp_path / "hyp.tsv"
         cond = tmp_path / "cond.tsv"

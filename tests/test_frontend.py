@@ -2,6 +2,7 @@
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechseg import frontend
+from speechseg.baseline import energy_vad_frames
 from speechseg.errors import (
     AudioTooShort,
     ChannelMismatch,
@@ -25,6 +27,7 @@ from speechseg.frontend import (
     read_wav,
     write_wav,
 )
+from speechseg.pipeline import _silent_window
 from speechseg.synth import make_silence, make_speech_then_tone
 
 from corpus import extensible_wav
@@ -54,7 +57,8 @@ class TestWav:
         payload = struct.pack("<h", 32767) * 100
         path.write_bytes(_wav_header(1, 1, 16000, 16, len(payload)) + payload)
         audio = read_wav(path)
-        assert audio.samples[0] == pytest.approx(32767 / 32768, abs=0)
+        assert audio.samples.dtype == np.int16 and audio.samples[0] == 32767
+        assert audio.decoded()[0] == pytest.approx(32767 / 32768, abs=0)
 
     def test_stereo_rejected_without_downmix(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -76,7 +80,7 @@ class TestWav:
         x = 0.5 * np.sin(np.linspace(0, 20, 2000))
         write_wav(AudioBuffer(x, 16000), path)
         back = read_wav(path)
-        np.testing.assert_allclose(back.samples, x, atol=1.0 / 32768)
+        np.testing.assert_allclose(back.decoded(), x, atol=1.0 / 32768)
 
     def test_compressed_format_rejected(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -428,3 +432,139 @@ class TestBlocks:
         sizes = [b - a for a, b in spans]
         assert max(sizes) <= frontend.FRONTEND_BLOCK_FRAMES
         assert min(sizes) >= min(n, frontend.FRONTEND_BLOCK_FRAMES // 2)
+
+
+# -----------------------------------------------------------------------------
+# PCM16 samples stay int16 and are decoded one block at a time
+# -----------------------------------------------------------------------------
+
+def independent_decode(path):
+    """A 44-byte-header mono WAV's samples as float64, decoded without the
+    package: PCM16 divided by 32768, IEEE float clipped to [-1, 1]."""
+    raw = path.read_bytes()
+    (tag,) = struct.unpack_from("<H", raw, 20)
+    (bits,) = struct.unpack_from("<H", raw, 34)
+    if tag == 1:
+        return np.frombuffer(raw[44:], dtype="<i2") / 32768.0
+    x = np.frombuffer(raw[44:], dtype=f"<f{bits // 8}").astype(np.float64)
+    return np.clip(x, -1.0, 1.0)
+
+
+def window_spans(duration_s):
+    n = int((duration_s - 1.5) / 0.75) + 1
+    return [SimpleNamespace(window_start_s=0.75 * i, window_end_s=0.75 * i + 1.5)
+            for i in range(n)]
+
+
+def assert_same_front_end(audio, want):
+    """Every sample reader gives the bits on ``audio`` that it gives on the
+    float64 buffer ``want``."""
+    assert len(audio.samples) == len(want.samples)
+    got_mfcc, want_mfcc = compute_mfcc(audio), compute_mfcc(want)
+    assert got_mfcc.rows.tobytes() == want_mfcc.rows.tobytes()
+    assert (apply_cmvn(got_mfcc).rows.tobytes()
+            == apply_cmvn(want_mfcc).rows.tobytes())
+    for mode in (0, 3):
+        assert (energy_vad_frames(audio, mode).decisions.tobytes()
+                == energy_vad_frames(want, mode).decisions.tobytes())
+    spans = window_spans(audio.duration_s)
+    silent = [_silent_window(audio, v) for v in spans]
+    assert silent == [_silent_window(want, v) for v in spans]
+    return silent
+
+
+def recording_wav(path, speech_s, tone_s):
+    """A PCM16 WAV: 1 s of noise within one step of zero, whose level
+    (about -92 dB) decides the energy VAD's mode-3 frames, then
+    speech_tone_silence."""
+    quiet = np.random.default_rng(4).integers(-1, 2, 16000) / 32768.0
+    body = speech_tone_silence(speech_s, tone_s).samples
+    write_wav(AudioBuffer(np.concatenate([quiet, body]), 16000), path)
+    return path
+
+
+class TestPcmPath:
+    # 21.3 s is four MFCC blocks and two energy-VAD blocks; 4.5 s is
+    # under one block of either
+    @pytest.mark.parametrize("speech_s,tone_s", [(10.0, 5.3), (1.0, 1.0)])
+    def test_pcm16_matches_float_path(self, tmp_path, speech_s, tone_s):
+        path = recording_wav(tmp_path / "a.wav", speech_s, tone_s)
+        audio = read_wav(path)
+        assert audio.samples.dtype == np.int16
+        want = AudioBuffer(independent_decode(path), 16000)
+        assert audio.decoded().tobytes() == want.samples.tobytes()
+        silent = assert_same_front_end(audio, want)
+        assert any(silent) and not all(silent)
+        # the oracle reads the independent decode, not AudioBuffer.decoded
+        np.testing.assert_allclose(
+            compute_mfcc(audio).rows[:40],
+            ref_mfcc(want.samples[: 39 * 160 + 400], 16000),
+            rtol=1e-6, atol=1e-9,
+        )
+
+    def test_decoded_spans_match_whole_decode(self, tmp_path):
+        audio = read_wav(recording_wav(tmp_path / "a.wav", 1.0, 1.0))
+        whole = audio.decoded()
+        for a, b in [(0, 1), (1, 400), (17, 17), (5000, None), (0, None)]:
+            assert audio.decoded(a, b).tobytes() == whole[a:b].tobytes()
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_float_wav_matches_float_path(self, tmp_path, bits):
+        x = speech_tone_silence(10.0, 5.3).samples.copy()
+        x[1000], x[2000] = 1.5, -3.0  # out of range: clipped on read
+        payload = x.astype(f"<f{bits // 8}").tobytes()
+        path = tmp_path / "f.wav"
+        path.write_bytes(_wav_header(3, 1, 16000, bits, len(payload)) + payload)
+        audio = read_wav(path)
+        assert audio.samples.dtype == np.float64
+        assert audio.samples[1000] == 1.0 and audio.samples[2000] == -1.0
+        want = AudioBuffer(independent_decode(path), 16000)
+        assert audio.samples.tobytes() == want.samples.tobytes()
+        assert_same_front_end(audio, want)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_float_wav_nan_rejected(self, tmp_path, bits):
+        x = np.zeros(1600)
+        x[800] = np.nan
+        payload = x.astype(f"<f{bits // 8}").tobytes()
+        path = tmp_path / "f.wav"
+        path.write_bytes(_wav_header(3, 1, 16000, bits, len(payload)) + payload)
+        with pytest.raises(InvalidConfig, match="finite"):
+            read_wav(path)
+
+    def test_read_wav_holds_no_decoded_copy(self, tmp_path):
+        path = recording_wav(tmp_path / "a.wav", 25.0, 5.0)
+        tracemalloc.start()
+        try:
+            audio = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(audio.samples) == 36 * 16000
+        assert peak <= path.stat().st_size + 64 * 2**10
+
+    def test_peak_grows_only_by_the_output(self, tmp_path):
+        peaks, sizes = [], []
+        for seconds in (60.0, 120.0):
+            path = tmp_path / f"{seconds:.0f}.wav"
+            audio = read_wav(recording_wav(path, seconds - 10.0, 5.0))
+            tracemalloc.start()
+            try:
+                feats = compute_mfcc(audio)
+                mfcc_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                track = energy_vad_frames(audio)
+                vad_peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            peaks.append((mfcc_peak, vad_peak))
+            # the VAD keeps one float64 energy per 30 ms frame while it runs
+            sizes.append((feats.rows.nbytes, 9 * len(track)))
+        (mfcc_60, vad_60), (mfcc_120, vad_120) = peaks
+        (rows_60, frames_60), (rows_120, frames_120) = sizes
+        # slack for the block list's Python objects; a float64 copy of the
+        # extra 60 s would be 7.7 MB
+        slack = 16 * 2**10
+        assert mfcc_120 - mfcc_60 <= rows_120 - rows_60 + slack
+        assert vad_120 - vad_60 <= frames_120 - frames_60 + slack

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechseg.classifier import TrainConfig, platt_calibrate
-from speechseg.errors import EmptyInput, InvalidConfig
+from speechseg.errors import EmptyInput, InvalidConfig, UnsortedInput
 from speechseg.frontend import write_wav
 from speechseg.metrics import condition_frames, frame_vad_eval, rasterize
 from speechseg.pipeline import (
@@ -32,7 +32,7 @@ from speechseg.synth import (
 from speechseg.xvector import make_test_net
 
 from corpus import training_embeddings
-from reference import ref_cluster_ahc
+from reference import ref_cluster_ahc, ref_filter_segments
 
 SR = 16000
 DIM = 512
@@ -231,6 +231,36 @@ class TestFilterSegments:
         segs = [Segment(0.0, 2.0, "spk0")]
         assert filter_segments(clustered_at(centers), segs, 0.5) == []
         assert filter_segments(clustered_at(centers, 0.3), segs, 0.5) == segs
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop_on_overlapping_runs(self, data):
+        # starts and ends on a 0.25 s grid, so segments overlap, nest and
+        # touch, and window centers land exactly on their ends
+        ticks = st.integers(0, 40)
+        spans = data.draw(st.lists(
+            st.tuples(ticks, st.integers(1, 16)), max_size=8
+        ))
+        segs = sorted(
+            (Segment(0.25 * a, 0.25 * (a + n), f"spk{k}")
+             for k, (a, n) in enumerate(spans)),
+            key=lambda s: s.start_s,
+        )
+        centers = data.draw(st.lists(
+            st.tuples(st.integers(0, 56).map(lambda t: 0.25 * t),
+                      st.sampled_from([0.1, 0.9])),
+            max_size=30,
+        ))
+        decisions = clustered_at(centers)
+        rho = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        assert filter_segments(decisions, segs, rho) == ref_filter_segments(
+            decisions, segs, rho
+        )
+
+    def test_segments_must_be_sorted_by_start(self):
+        segs = [Segment(2.0, 4.0, "spk0"), Segment(0.0, 4.0, "spk1")]
+        with pytest.raises(UnsortedInput):
+            filter_segments(clustered_at([(1.0, 0.9)]), segs, 0.5)
 
 
 def speech_eval(result, duration_s=10.0):
