@@ -22,7 +22,6 @@ from .errors import (
     CalibrationDegenerate,
     DimMismatch,
     InvalidConfig,
-    IoFailure,
     NoNegatives,
     NonConvergence,
     NonFiniteInput,
@@ -397,17 +396,12 @@ def save_model(model: CalibratedLinearModel, path: str | Path) -> None:
         '  "w": [' + ", ".join(_fmt(v) for v in model.w) + "]",
         "}",
     ]
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> CalibratedLinearModel:
     try:
         doc = json.loads(read_text(path))
-    except OSError as e:
-        raise IoFailure(str(e)) from e
     except json.JSONDecodeError as e:
         raise InvalidConfig(f"{path}: not a model file ({e})") from e
     if not isinstance(doc, dict):

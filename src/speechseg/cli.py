@@ -2,11 +2,11 @@
 
 One executable, shell-composable. Parameter resolution per subcommand:
 built-in defaults, then a JSON --config document, then explicit flags;
-unknown config keys are rejected. Exit codes: 0 success, 1 domain error
-(message carries the error type name), 2 usage error. Every subcommand
-prints a JSON report with a schema_version field; --report additionally
-writes the same document to a file. The report shapes ship as JSON
-schemas in speechseg/schemas/.
+unknown config keys are rejected. Exit codes: 0 success, 1 domain error,
+OSError or MemoryError (message carries the error type name), 2 usage
+error. Every subcommand prints a JSON report with a schema_version field;
+--report additionally writes the same document to a file. The report
+shapes ship as JSON schemas in speechseg/schemas/.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .dataprep import (
     realign_segments,
     write_manifest,
 )
-from .errors import EmptyInput, SpeechSegError
+from .errors import EmptyInput, InvalidConfig, SpeechSegError
 from .frontend import apply_cmvn, compute_mfcc, read_wav, write_wav
 from .metrics import (
     condition_frames,
@@ -367,6 +367,10 @@ def _cmd_eval_wer(cfg):
 
 def _cmd_realign(cfg):
     words_by_file = read_ctm(cfg["ctm"])
+    for file_id in words_by_file:
+        # the id names an output file, which must land inside --out
+        if Path(file_id).name != file_id or file_id in (".", ".."):
+            raise InvalidConfig(f"CTM file id {file_id!r} is not a file name")
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -716,8 +720,8 @@ def _resolve(args) -> dict:
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as e:
             raise UsageError(f"cannot read config: {e}")
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config is not valid JSON: {e}")
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise UsageError(f"config is not UTF-8 JSON: {e}")
         if not isinstance(doc, dict):
             raise UsageError("config must be a JSON object")
         for key, value in doc.items():
@@ -752,19 +756,16 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         report = {"schema_version": SCHEMA_VERSION, "command": args.command}
         report.update(args.handler(cfg))
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.report:
+            Path(args.report).write_text(text + "\n", encoding="utf-8")
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except SpeechSegError as e:
+    except (SpeechSegError, OSError, MemoryError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
     return 0
 
 

@@ -175,5 +175,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise InvalidConfig(f"{path}:{lineno}: expected 3 fields")
-        out.append(ManifestEntry(parts[0], parts[1], parts[2]))
+        try:
+            out.append(ManifestEntry(*parts))
+        except InvalidConfig as e:
+            raise InvalidConfig(f"{path}:{lineno}: {e}") from None
     return out

@@ -2,7 +2,9 @@
 every text reader shares.
 
 Every error carries the failing condition in its message; the CLI maps any
-SpeechSegError subclass to exit status 1 and prints the class name.
+SpeechSegError subclass to exit status 1 and prints the class name. A file
+that cannot be opened, read or written raises Python's own OSError, which
+the CLI reports the same way.
 """
 from __future__ import annotations
 
@@ -56,10 +58,6 @@ class NonFiniteWeight(SpeechSegError):
 
 class EmptyInput(SpeechSegError):
     """Operation requires at least one frame or vector."""
-
-
-class IoFailure(SpeechSegError):
-    """Underlying read or write failed."""
 
 
 class CorruptArchive(SpeechSegError):

@@ -60,10 +60,9 @@ from .errors import (
     DimMismatch,
     EmptyInput,
     InvalidConfig,
-    IoFailure,
     NonFiniteWeight,
 )
-from .frontend import FeatureMatrix
+from .frontend import FRAME_SHIFT_MS, FeatureMatrix
 
 EMBEDDING_DIM = 512
 BN_EPSILON = 1e-5
@@ -228,8 +227,9 @@ class ExtractionConfig:
     min_window_s: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.stride_s <= self.window_s:
-            raise InvalidConfig("need 0 < stride_s <= window_s")
+        # a stride under one feature frame only repeats windows, by millions
+        if not FRAME_SHIFT_MS / 1000 <= self.stride_s <= self.window_s:
+            raise InvalidConfig("need 0.01 <= stride_s <= window_s")
         if not 0 < self.min_window_s <= self.window_s:
             raise InvalidConfig("need 0 < min_window_s <= window_s")
 
@@ -463,11 +463,41 @@ def make_test_net(
 
 
 # -----------------------------------------------------------------------------
+# Files. The weight file and the embedding archive share one framing: a
+# 4-byte magic, a body starting with a 4-byte header, and a CRC32 (u32) of
+# everything before it. Little-endian.
+#
 # Weight file: magic "XVNW", u16 version, u16 record count, then per-record
 # u8 type (0 frame, 1 pool, 2 segment); affine records carry u8 offset count,
 # i16 offsets, u32 in/out dims, f32 weights row-major, f32 bias, f32 bn
-# mean/var. Trailing CRC32 over everything before it. Little-endian.
+# mean/var.
+#
+# Embedding archive: magic "XVEC", u32 count, then count _RECORDs: f64
+# start_s, f64 end_s, 512 f32 values.
 # -----------------------------------------------------------------------------
+
+_RECORD = np.dtype([("start", "<f8"), ("end", "<f8"),
+                    ("values", "<f4", EMBEDDING_DIM)])
+
+
+def _write_checked(path: str | Path, body: bytes) -> None:
+    """Write body (magic first) and its CRC32."""
+    with open(path, "wb") as f:
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body)))
+
+
+def _read_checked(path: str | Path, magic: bytes, what: str) -> memoryview:
+    """The bytes of a checked file before its CRC32, magic included: a
+    read-only view of the one buffer the file is read into."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 12 or raw[:4] != magic:
+        raise BadMagic(f"{path}: not {what}")
+    body = memoryview(raw)[:-4]
+    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
+        raise CorruptArchive(f"{path}: checksum mismatch")
+    return body
+
 
 def save_weights(net: XVectorNet, path: str | Path) -> None:
     parts = [
@@ -484,27 +514,14 @@ def save_weights(net: XVectorNet, path: str | Path) -> None:
         parts.append(struct.pack("<II", layer.in_dim, layer.out_dim))
         for arr in (layer.weight, layer.bias, layer.bn_mean, layer.bn_var):
             parts.append(arr.astype("<f4").tobytes())
-    body = b"".join(parts)
-    try:
-        Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    _write_checked(path, b"".join(parts))
 
 
 def load_weights(path: str | Path) -> XVectorNet:
     """Read a weight file. Every weight, bias and batch-norm array is a
     read-only view of the one buffer the file is read into, so loading
     holds the file's bytes once rather than a copy per array as well."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
-    if len(raw) < 12 or raw[:4] != WEIGHTS_MAGIC:
-        raise BadMagic(f"{path}: not a weight file")
-    body = memoryview(raw)[:-4]
-    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
-        raise CorruptArchive(f"{path}: weight file checksum mismatch")
-
+    body = _read_checked(path, WEIGHTS_MAGIC, "a weight file")
     version, count = struct.unpack_from("<HH", body, 4)
     if version != WEIGHTS_VERSION:
         raise BadMagic(f"{path}: unsupported weight format version {version}")
@@ -555,47 +572,23 @@ def load_weights(path: str | Path) -> XVectorNet:
     return XVectorNet(tuple(layers))
 
 
-# -----------------------------------------------------------------------------
-# Embedding archive: magic "XVEC", u32 count, then per vector f64 start_s,
-# f64 end_s, 512 f32 values; trailing CRC32. Little-endian.
-# -----------------------------------------------------------------------------
-
 def save_archive(vectors: list[XVector], path: str | Path) -> None:
-    parts = [ARCHIVE_MAGIC, struct.pack("<I", len(vectors))]
-    for vec in vectors:
-        parts.append(struct.pack("<dd", vec.window_start_s, vec.window_end_s))
-        parts.append(vec.values.astype("<f4").tobytes())
-    body = b"".join(parts)
-    try:
-        Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    records = np.fromiter(
+        ((v.window_start_s, v.window_end_s, v.values) for v in vectors),
+        _RECORD, len(vectors),
+    )
+    header = ARCHIVE_MAGIC + struct.pack("<I", len(vectors))
+    _write_checked(path, b"".join((header, records)))  # one copy of records
 
 
 def load_archive(path: str | Path) -> list[XVector]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise IoFailure(str(e)) from e
-    if len(raw) < 12 or raw[:4] != ARCHIVE_MAGIC:
-        raise BadMagic(f"{path}: not an x-vector archive")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
-        raise CorruptArchive(f"{path}: archive checksum mismatch")
-
+    """Read an archive. Each XVector's values are a read-only view of the
+    one buffer the file is read into."""
+    body = _read_checked(path, ARCHIVE_MAGIC, "an x-vector archive")
     (count,) = struct.unpack_from("<I", body, 4)
-    record = 16 + 4 * EMBEDDING_DIM
-    if len(body) != 8 + count * record:
-        raise CorruptArchive(
-            f"{path}: expected {8 + count * record} bytes, got {len(body)}"
-        )
-    out = []
-    pos = 8
-    for _ in range(count):
-        start, end = struct.unpack_from("<dd", body, pos)
-        values = np.frombuffer(
-            body, dtype="<f4", count=EMBEDDING_DIM, offset=pos + 16
-        ).copy()
-        out.append(XVector(values, start, end))
-        pos += record
-    return out
+    size = 8 + count * _RECORD.itemsize
+    if len(body) != size:
+        raise CorruptArchive(f"{path}: {len(body)} bytes, expected {size}")
+    r = np.frombuffer(body, _RECORD, offset=8)
+    return list(map(XVector, r["values"], r["start"].tolist(),
+                    r["end"].tolist()))

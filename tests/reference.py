@@ -302,3 +302,22 @@ def ref_filter_segments(decisions, segments, noise_proportion_threshold):
         for k, seg in enumerate(segments)
         if totals[k] > 0 and noise[k] / totals[k] <= noise_proportion_threshold
     ]
+
+
+# -----------------------------------------------------------------------------
+# .xvec archive bytes, packed one record at a time.
+# -----------------------------------------------------------------------------
+
+def ref_xvec_bytes(spans, rows):
+    """The .xvec file for (start_s, end_s) spans and their value rows:
+    magic "XVEC", u32 count, per record f64 start, f64 end and the row as
+    f32, then a CRC32 of everything before it; little-endian."""
+    import struct
+    import zlib
+
+    parts = [b"XVEC", struct.pack("<I", len(spans))]
+    for (start, end), row in zip(spans, rows):
+        parts.append(struct.pack("<dd", start, end))
+        parts.append(struct.pack(f"<{len(row)}f", *row))
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body))

@@ -35,6 +35,8 @@ from speechseg.metrics import read_condition_labels, read_transcripts
 from speechseg.segments import read_tsv
 from speechseg.xvector import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_archive
 
+from test_readers import CHECKSUMMED, flip, reseal, valid_dir  # noqa: F401
+
 
 def run(argv):
     """Exit code for one invocation; argparse exits become codes too."""
@@ -249,6 +251,15 @@ class TestConfigResolution:
         assert code == 2
         capsys.readouterr()
 
+    def test_config_must_be_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff"}')
+        code = run(["gen-test-model", "--config", str(cfg),
+                    "--out", str(tmp_path / "n.xvnw")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage error: config is not UTF-8 JSON" in err
+
     def test_report_flag_writes_same_document(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"
         ref.write_text("rec1\ta b c\n", encoding="utf-8")
@@ -283,13 +294,6 @@ class TestFrontendCommands:
         raw = compute_mfcc(read_wav(work / "mix.wav"))
         assert np.array_equal(rows, raw.rows)
 
-    def test_missing_audio_is_domain_error(self, tmp_path, capsys):
-        code = run(["mfcc", "--audio", str(tmp_path / "nope.wav"),
-                    "--out", str(tmp_path / "x.npy")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "FileNotFoundError" in err
-
     @pytest.mark.parametrize("rate", [45, 55])
     @pytest.mark.parametrize("command", ["mfcc", "extract"])
     def test_sample_rate_below_two_sample_frames(self, work, tmp_path,
@@ -318,6 +322,18 @@ class TestFrontendCommands:
         doc = run_json(["gen-test-audio", "--kind", "speech_then_tone",
                         "--out", str(tmp_path / "m.wav")])
         assert doc["duration_s"] == pytest.approx(10.0)
+
+    def test_gen_audio_beyond_address_space_is_memory_error(self, tmp_path,
+                                                             capsys):
+        # 1.6e16 float64 samples (114 PiB) exceed the address space, so
+        # numpy refuses the array before touching any memory
+        code = run(["gen-test-audio", "--kind", "silence", "--duration",
+                    "1e12", "--out", str(tmp_path / "x.wav")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.search(r"error: \w*MemoryError: ", err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.wav").exists()
 
     def test_gen_audio_bad_duration_is_domain_error(self, tmp_path, capsys):
         code = run(["gen-test-audio", "--kind", "tone",
@@ -621,6 +637,20 @@ class TestSegmentCommand:
         assert code == 2
         assert "--model" in err
 
+    def test_stride_below_one_frame_is_domain_error(self, work, tmp_path,
+                                                    capsys):
+        out = tmp_path / "x"
+        code = run(["segment", "--strategy", "xvector_filt",
+                    "--audio", str(work / "mix.wav"),
+                    "--net", str(work / "net.xvnw"),
+                    "--model", str(work / "model.json"),
+                    "--stride", "0.001", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidConfig" in err and "stride_s" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_model_missing_key_is_domain_error(self, work, tmp_path,
                                                capsys):
         doc = json.loads((work / "model.json").read_text(encoding="utf-8"))
@@ -854,6 +884,25 @@ class TestDataCommands:
         segs = read_tsv(entry["out"])
         assert len(segs) == entry["segments"] == 2
 
+    @pytest.mark.parametrize("file_id", ["../escaped", "sub/escaped",
+                                         "..", "."])
+    def test_realign_id_that_is_not_a_file_name(self, tmp_path, capsys,
+                                                file_id):
+        ctm = tmp_path / "t.ctm"
+        ctm.write_text(
+            f"{file_id} 1 0.00 0.60 hello\n{file_id} 1 0.70 0.60 world\n"
+            "rec1 1 0.00 0.60 hi\n",
+            encoding="utf-8",
+        )
+        before = set(tmp_path.rglob("*"))
+        code = run(["realign", "--ctm", str(ctm),
+                    "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidConfig" in err and repr(file_id) in err
+        assert "Traceback" not in err
+        assert set(tmp_path.rglob("*")) == before
+
     def test_realign_unparsable_time_is_domain_error(self, tmp_path):
         self._assert_bad_ctm_row_named(tmp_path, "rec1 1 abc 0.30 the")
 
@@ -911,3 +960,143 @@ class TestDataCommands:
         assert doc["n"] == 16
         assert set(labels) == {"speech", "noise"}
         assert doc["pca_k"] >= 1
+
+
+# -----------------------------------------------------------------------------
+# the error contract for files, through cli.main
+# -----------------------------------------------------------------------------
+
+# options naming a file that a command reads
+READ_OPTIONS = ("audio", "manifest", "net", "model", "hyp", "conditions",
+                "ref", "ctm", "speech", "noise")
+# options naming a file or directory that a command writes
+WRITE_OPTIONS = ("out", "out_train", "out_eval")
+
+# the files each command reads in a valid invocation (extract and segment
+# read --audio or --manifest), then its other required options
+INVOCATIONS = {
+    "mfcc": (("audio",), ["--out", "{out}.npy"]),
+    "extract": (("net", "audio"), ["--out", "{out}"]),
+    "train": (("manifest", "net"), ["--out", "{out}.json"]),
+    "calibrate": (("model", "manifest", "net"), ["--out", "{out}.json"]),
+    "threshold": (("model", "manifest", "net"), ["--target-fpr", "0.5"]),
+    "segment": (("net", "model", "audio"),
+                ["--strategy", "xvector_filt", "--out", "{out}"]),
+    "eval-vad": (("hyp", "conditions"), ["--duration", "3"]),
+    "eval-wer": (("ref", "hyp"), []),
+    "realign": (("ctm",), ["--out", "{out}"]),
+    "split": (("speech", "noise"),
+              ["--out-train", "{out}.tr", "--out-eval", "{out}.ev"]),
+    "reduce": (("manifest", "net"), ["--out", "{out}.csv"]),
+}
+
+FILE_CASES = [
+    (command, o.key)
+    for command, (_, opts, _) in COMMANDS.items()
+    for o in opts
+    if o.key in READ_OPTIONS
+]
+
+
+def invocation(work, tmp_path, command, files):
+    """argv for command, reading `files` (option -> path) where given and
+    a valid file of the command's kind otherwise."""
+    text = {
+        "hyp": "rec1\tthe quick fox\n" if command == "eval-wer"
+        else "0.000\t1.500\tspeech\n",
+        "conditions": "0.0\t1.5\tclean_speech\n",
+        "ref": "rec1\tthe quick fox\n",
+        "ctm": "rec1 1 0.50 0.30 the\n",
+    }
+    valid = {"audio": work / "mix.wav", "manifest": work / "train.tsv",
+             "net": work / "net.xvnw", "model": work / "model.json",
+             "speech": work / "train.tsv", "noise": work / "train.tsv"}
+    for key, body in text.items():
+        valid[key] = tmp_path / f"valid.{key}"
+        valid[key].write_text(body, encoding="utf-8")
+    reads, rest = INVOCATIONS[command]
+    if "manifest" in files and "audio" in reads:
+        reads = tuple("manifest" if k == "audio" else k for k in reads)
+    argv = [command]
+    for key in reads:
+        argv += ["--" + key, str(files.get(key, valid[key]))]
+    out = str(tmp_path / "out")
+    return argv + [a.replace("{out}", out) for a in rest]
+
+
+class TestFileErrors:
+    def test_every_path_option_is_read_or_written(self):
+        for command, (_, opts, _) in COMMANDS.items():
+            for o in opts:
+                if o.typ is str and o.choices is None:
+                    assert o.key in READ_OPTIONS + WRITE_OPTIONS, (command, o)
+
+    @pytest.mark.parametrize("command,option", FILE_CASES)
+    @pytest.mark.parametrize("kind,error", [
+        ("missing", "FileNotFoundError"), ("directory", "IsADirectoryError"),
+    ])
+    def test_unreadable_file_is_os_error(self, work, tmp_path, capsys,
+                                         command, option, kind, error):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        code = run(invocation(work, tmp_path, command, {option: bad}))
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"error: {error}: " in err and str(bad) in err
+        assert "Traceback" not in err
+
+    def test_unwritable_report_is_os_error(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "r.json"
+        code = run(["gen-test-model", "--out", str(tmp_path / "n.xvnw"),
+                    "--report", str(report)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "error: FileNotFoundError: " in err and str(report) in err
+        assert "Traceback" not in err and out == ""
+
+    def test_unreadable_config_stays_a_usage_error(self, tmp_path, capsys):
+        code = run(["eval-wer", "--config", str(tmp_path / "missing.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage error: cannot read config" in err
+
+    # one byte of each reader's valid file from test_readers, flipped;
+    # the checksummed weight file is resealed so its parser sees the flip.
+    # No command reads an .xvec archive, so load_archive has no case here.
+    @pytest.mark.parametrize("reader,command,option,at,mask,error", [
+        # channel count 1 -> 2
+        ("read_wav", "mfcc", "audio", 22, 0x03, "ChannelMismatch"),
+        # SubFormat GUID's format tag 1 -> 0
+        ("read_wav_extensible", "mfcc", "audio", 44, 0x01,
+         "UnsupportedEncoding"),
+        # first record's type 0 (frame) -> 7
+        ("load_weights", "extract", "net", 8, 0x07, "CorruptArchive"),
+        # the opening brace
+        ("load_model", "segment", "model", 0, 0x01, "InvalidConfig"),
+        # the first start time "0.000" -> "x.000"
+        ("read_tsv", "eval-vad", "hyp", 0, 0x48, "InvalidSegment"),
+        # the first start time "0.50" -> "x.50"
+        ("read_ctm", "realign", "ctm", 7, 0x48, "InvalidConfig"),
+        # the first label "speech" -> "speecx"
+        ("read_manifest", "train", "manifest", 11, 0x10, "InvalidConfig"),
+        # the first condition "clean_speech" -> "alean_speech"
+        ("read_condition_labels", "eval-vad", "conditions", 8, 0x02,
+         "InvalidConfig"),
+        # the first byte -> 0xff, not UTF-8
+        ("read_transcripts", "eval-wer", "ref", 0, 0x8D,
+         "UnsupportedEncoding"),
+    ])
+    def test_malformed_file_is_named_error(self, work, valid_dir, tmp_path,
+                                           capsys, reader, command, option,
+                                           at, mask, error):
+        raw = flip((valid_dir / reader).read_bytes(), [(at, mask)])
+        if reader in CHECKSUMMED:
+            raw = reseal(raw)
+        bad = tmp_path / "bad"
+        bad.write_bytes(raw)
+        code = run(invocation(work, tmp_path, command, {option: bad}))
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"error: {error}: " in err and str(bad) in err
+        assert "Traceback" not in err

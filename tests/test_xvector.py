@@ -36,7 +36,12 @@ from speechseg.xvector import (
     stats_pool,
 )
 
-from reference import ref_forward_xvector, ref_stats_pool, ref_window_spans
+from reference import (
+    ref_forward_xvector,
+    ref_stats_pool,
+    ref_window_spans,
+    ref_xvec_bytes,
+)
 
 
 def net_to_plain(net):
@@ -279,6 +284,18 @@ class TestWeightsFormat:
             load_weights(path)
 
 
+@pytest.mark.parametrize("load,magic", [
+    (load_weights, b"XVNW"), (load_archive, b"XVEC"),
+])
+def test_checked_file_shorter_than_its_header(tmp_path, load, magic):
+    # the magic and a valid CRC32, but not the 4-byte header after it
+    path = tmp_path / "short"
+    for body in (magic, magic + b"\0\0\0"):
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(BadMagic, match="short: not a"):
+            load(path)
+
+
 # -----------------------------------------------------------------------------
 # extraction protocol
 # -----------------------------------------------------------------------------
@@ -410,6 +427,12 @@ class TestExtraction:
     def test_bad_config(self):
         with pytest.raises(InvalidConfig):
             ExtractionConfig(window_s=1.0, stride_s=1.5)
+
+    def test_stride_of_at_least_one_frame(self):
+        ExtractionConfig(stride_s=0.01)
+        for stride in (0.0099, 1e-7, 0.0, -0.75):
+            with pytest.raises(InvalidConfig, match="stride_s"):
+                ExtractionConfig(stride_s=stride)
 
 
 def per_stream(net, streams, cfg):
@@ -545,6 +568,24 @@ class TestArchive:
             assert np.array_equal(a.values, b.values)
             assert a.window_start_s == b.window_start_s
             assert a.window_end_s == b.window_end_s
+
+    @pytest.mark.parametrize("n", [0, 1, 10_000])
+    def test_bytes_match_per_record_packer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        spans = [(0.1 * i, 0.1 * i + 1.5) for i in range(n)]
+        rows = rng.standard_normal((n, 512)).astype(np.float32)
+        path = tmp_path / "a.xvec"
+        save_archive(
+            [XVector(row, a, b) for row, (a, b) in zip(rows, spans)], path
+        )
+        assert path.read_bytes() == ref_xvec_bytes(spans, rows.tolist())
+        back = load_archive(path)
+        assert [(v.window_start_s, v.window_end_s) for v in back] == spans
+        assert all(type(v.window_start_s) is float for v in back)
+        assert np.array_equal(
+            np.reshape([v.values for v in back], (n, 512)), rows
+        )
+        assert not any(v.values.flags.writeable for v in back)
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "c.xvec"
