@@ -66,7 +66,6 @@ from .xvector import (
     ARCHIVE_MAGIC,
     EMBEDDING_DIM,
     WEIGHTS_VERSION,
-    ExtractionConfig,
     extract_sequence,
     extract_streams,
     load_weights,
@@ -98,17 +97,6 @@ class Opt:
         return "--" + self.key.replace("_", "-")
 
 
-_EXTRACTION = [
-    Opt("window", float, 1.5, "embedding window length in seconds"),
-    Opt("stride", float, 0.75, "window stride in seconds"),
-    Opt("min_window", float, 0.5, "shortest clamped tail window kept"),
-]
-
-
-def _extraction_config(cfg) -> ExtractionConfig:
-    return ExtractionConfig(cfg["window"], cfg["stride"], cfg["min_window"])
-
-
 def _features(path):
     return apply_cmvn(compute_mfcc(read_wav(path)))
 
@@ -116,12 +104,9 @@ def _features(path):
 def _embed_manifest(cfg, net):
     """(x, owners): the x-vectors of every window of every clip of the
     --manifest as float64 rows, and the manifest entry of each row. Clips
-    shorter than the minimum window contribute nothing."""
+    shorter than xvector.MIN_WINDOW_S contribute nothing."""
     entries = read_manifest(cfg["manifest"])
-    streams = extract_streams(
-        net, (_features(entry.path) for entry in entries),
-        _extraction_config(cfg),
-    )
+    streams = extract_streams(net, (_features(e.path) for e in entries))
     rows, owners = [], []
     for entry, vecs in zip(entries, streams):
         rows.extend(v.values for v in vecs)
@@ -177,14 +162,13 @@ def _cmd_mfcc(cfg):
 
 def _cmd_extract(cfg):
     net = load_weights(cfg["net"])
-    extraction = _extraction_config(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = _gather_inputs(cfg)
 
     def one(item):
         file_id, path = item
-        vecs = extract_sequence(net, _features(path), extraction)
+        vecs = extract_sequence(net, _features(path))
         out = out_dir / f"{file_id}.xvec"
         save_archive(vecs, out)
         return {
@@ -284,7 +268,6 @@ def _cmd_segment(cfg):
         strategy=cfg["strategy"],
         noise_proportion_threshold=cfg["noise_proportion"],
         cluster_distance_threshold=cfg["cluster_threshold"],
-        extraction=_extraction_config(cfg),
         baseline_aggressiveness=cfg["aggressiveness"],
         median_width=cfg["median_width"],
         merge_gap_s=cfg["merge_gap"],
@@ -501,7 +484,6 @@ COMMANDS = {
             Opt("audio", str, help="single input WAV"),
             Opt("manifest", str, help="batch input manifest TSV"),
             Opt("jobs", int, 1, "parallel workers for batch input"),
-            *_EXTRACTION,
         ],
         _cmd_extract,
     ),
@@ -516,7 +498,6 @@ COMMANDS = {
             Opt("tolerance", float, 1e-4, "SVM convergence tolerance"),
             Opt("folds", int, 3, "calibration cross-validation folds"),
             Opt("seed", int, 0, "fold shuffling seed"),
-            *_EXTRACTION,
         ],
         _cmd_train,
     ),
@@ -527,7 +508,6 @@ COMMANDS = {
             Opt("manifest", str, help="labeled clip manifest", required=True),
             Opt("net", str, help="TDNN weight file", required=True),
             Opt("out", str, help="output model JSON", required=True),
-            *_EXTRACTION,
         ],
         _cmd_calibrate,
     ),
@@ -541,7 +521,6 @@ COMMANDS = {
                 required=True),
             Opt("out", str, help="write the re-thresholded model here; "
                 "segment cuts at its threshold"),
-            *_EXTRACTION,
         ],
         _cmd_threshold,
     ),
@@ -563,7 +542,6 @@ COMMANDS = {
             Opt("median_width", int, 5, "VAD median filter width"),
             Opt("merge_gap", float, 0.5, "largest gap merged, seconds"),
             Opt("jobs", int, 1, "parallel workers for batch input"),
-            *_EXTRACTION,
         ],
         _cmd_segment,
     ),
@@ -622,7 +600,6 @@ COMMANDS = {
             Opt("perplexity", float, 30.0, "t-SNE perplexity"),
             Opt("iters", int, 1000, "t-SNE gradient steps"),
             Opt("seed", int, 0, "t-SNE init seed"),
-            *_EXTRACTION,
         ],
         _cmd_reduce,
     ),

@@ -1,6 +1,8 @@
 """End-to-end speech segmentation.
 
-The three strategies share one decision path (_decide): every window
+The three strategies share one decision path (_decide). Windows lie on
+the fixed grid of speechseg.xvector: WINDOW_S (1.5 s) long, STRIDE_S
+(0.75 s) apart, with a clamped tail of at least MIN_WINDOW_S. Every window
 gets a calibrated speech probability (1.0 for the baseline without a
 model), one AHC pass clusters the embedding matrix of the windows the
 strategy picks, and every window gets one DecisionRecord (span,
@@ -16,8 +18,8 @@ They differ in three things only:
   its windows' majority cluster as its speaker label.
 - xvector_filt: embed every sliding window and cluster only the windows
   at or above the probability cut, on raw directions; the others are
-  logged with cluster -1. Stride-adjacent same-cluster runs of the
-  clustered windows become segments.
+  logged with cluster -1. Same-cluster runs of clustered windows that
+  start STRIDE_S apart become segments.
 - xvector_seg_filt: embed every window and cluster all of them on
   centered directions, form segments from the runs, then reject
   segments whose noise proportion is too high.
@@ -34,7 +36,7 @@ energy VAD decode it to float64 one block at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ from .errors import EmptyInput, InvalidConfig, UnsortedInput
 from .frontend import AudioBuffer, FeatureMatrix, apply_cmvn, compute_mfcc, read_wav
 from .segments import Segment, check_sorted
 from .xvector import (
-    ExtractionConfig,
+    STRIDE_S,
     XVector,
     XVectorNet,
     extract_sequence,
@@ -65,7 +67,6 @@ class PipelineConfig:
     strategy: str
     noise_proportion_threshold: float = 0.5   # rho
     cluster_distance_threshold: float = 0.35  # delta, cosine
-    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     baseline_aggressiveness: int = 0
     median_width: int = 5
     merge_gap_s: float = 0.5
@@ -313,13 +314,13 @@ def _decide(vectors, cfg, model):
 
 
 def _run_xvector(audio, cfg, model, net):
-    vectors = extract_sequence(net, _features(audio), cfg.extraction)
+    vectors = extract_sequence(net, _features(audio))
     vectors = [v for v in vectors if not _silent_window(audio, v)]
     if not vectors:
         return [], [], []
 
     decisions = _decide(vectors, cfg, model)
-    runs = _runs_to_segments(decisions, cfg.extraction.stride_s)
+    runs = _runs_to_segments(decisions)
     if cfg.strategy == "xvector_seg_filt":
         runs = filter_segments(
             decisions, runs, cfg.noise_proportion_threshold
@@ -327,7 +328,7 @@ def _run_xvector(audio, cfg, model, net):
     return merge_segments(runs, cfg.merge_gap_s), vectors, decisions
 
 
-def _runs_to_segments(decisions, stride_s):
+def _runs_to_segments(decisions):
     """Stride-adjacent clustered windows sharing a cluster become one
     segment; windows with cluster -1 are skipped."""
     segments = []
@@ -339,7 +340,7 @@ def _runs_to_segments(decisions, stride_s):
             continue
         adjacent = (
             prev_start is not None
-            and abs(d.start_s - prev_start - stride_s) < 1e-9
+            and abs(d.start_s - prev_start - STRIDE_S) < 1e-9
         )
         if run_id == d.cluster and adjacent:
             run_end = max(run_end, d.end_s)
@@ -374,7 +375,7 @@ def _run_baseline(audio, cfg, model, net):
             )
     vectors = []
     owner = []  # index into vad_segments per vector
-    streams = extract_streams(net, pieces.values(), cfg.extraction)
+    streams = extract_streams(net, pieces.values())
     for k, got in zip(pieces, streams):
         for v in got:
             if not _silent_window(audio, v):

@@ -12,11 +12,15 @@ Frame layers use valid convolution: each layer shrinks the frame axis by
 are padded by edge-frame replication, with the extra copy on the leading
 edge when the padding is odd.
 
+Windows lie on one fixed grid, the module constants WINDOW_S, STRIDE_S
+and MIN_WINDOW_S: a model is only valid on the grid it was trained on,
+so no command takes another.
+
 Because the frame layers are a convolution, sliding-window extraction runs
 them once per block of consecutive windows, not once per window: the
-windows overlap (by half at the default stride), so a per-window pass
-would push most frames through them twice. Each window then stats-pools
-its own rows of the block output and applies the first segment affine.
+windows overlap by half, so a per-window pass would push most frames
+through them twice. Each window then stats-pools its own rows of the
+block output and applies the first segment affine.
 A block spans at most BLOCK_FRAMES (750) frames, which keeps peak memory
 flat however long the stream is, and the one bound serves both ways a
 block forms. extract_streams embeds many streams in turn: consecutive
@@ -62,18 +66,25 @@ from .errors import (
     InvalidConfig,
     NonFiniteWeight,
 )
-from .frontend import FRAME_SHIFT_MS, FeatureMatrix
+from .frontend import FeatureMatrix
 
 EMBEDDING_DIM = 512
 BN_EPSILON = 1e-5
 # longest frame span of one block of windows in extract_streams, whether
 # it packs several short streams or cuts a long one. It bounds the block's
 # float64 intermediates, so peak memory does not grow with the stream.
-# Each cut recomputes half a window of rows (75 at the default grid), so
-# smaller blocks cost time. Segmenting 4 x 60 s with the standard net
-# (2 cores, OpenBLAS) peaked at 118 MB RSS with 1,500 rows and at 83 MB
-# with 750 at the same speed; 500 rows reached 77 MB, 15% slower
+# Each cut recomputes half a window of rows (75), so smaller blocks cost
+# time. Segmenting 4 x 60 s with the standard net (2 cores, OpenBLAS)
+# peaked at 118 MB RSS with 1,500 rows and at 83 MB with 750 at the same
+# speed; 500 rows reached 77 MB, 15% slower
 BLOCK_FRAMES = 750
+
+# the sliding window grid, in seconds: a window of WINDOW_S every
+# STRIDE_S, and a tail window clamped to the stream end if at least
+# MIN_WINDOW_S of it remains; the 1.5 s / 0.75 s of x-vector diarization
+WINDOW_S = 1.5
+STRIDE_S = 0.75
+MIN_WINDOW_S = 0.5
 
 WEIGHTS_MAGIC = b"XVNW"
 WEIGHTS_VERSION = 1
@@ -220,20 +231,6 @@ class XVector:
             raise InvalidConfig("window must have positive length")
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    window_s: float = 1.5
-    stride_s: float = 0.75
-    min_window_s: float = 0.5
-
-    def __post_init__(self):
-        # a stride under one feature frame only repeats windows, by millions
-        if not FRAME_SHIFT_MS / 1000 <= self.stride_s <= self.window_s:
-            raise InvalidConfig("need 0.01 <= stride_s <= window_s")
-        if not 0 < self.min_window_s <= self.window_s:
-            raise InvalidConfig("need 0 < min_window_s <= window_s")
-
-
 # -----------------------------------------------------------------------------
 # Forward pass
 # -----------------------------------------------------------------------------
@@ -294,24 +291,24 @@ def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
     return pooled @ tap.weight.T.astype(np.float64) + tap.bias
 
 
-def _window_grid(feats: FeatureMatrix, cfg: ExtractionConfig):
+def _window_grid(feats: FeatureMatrix):
     """(start_s, end_s) spans of a stream's windows and their [a, b) rows.
 
-    Windows start at multiples of stride_s from the start of the stream.
+    Windows start at multiples of STRIDE_S from the start of the stream.
     Full windows are emitted while they fit; if audio remains past the
-    last full window and the tail is at least min_window_s long, one final
+    last full window and the tail is at least MIN_WINDOW_S long, one final
     window clamped to the stream end is emitted as well. A stream shorter
-    than min_window_s has no window.
+    than MIN_WINDOW_S has no window.
     """
     total_s = feats.span_s
     spans = []
     k = 0
-    while k * cfg.stride_s + cfg.window_s <= total_s:
-        spans.append((k * cfg.stride_s, k * cfg.stride_s + cfg.window_s))
+    while k * STRIDE_S + WINDOW_S <= total_s:
+        spans.append((k * STRIDE_S, k * STRIDE_S + WINDOW_S))
         k += 1
-    tail_start = k * cfg.stride_s
+    tail_start = k * STRIDE_S
     if (not spans or spans[-1][1] < total_s) and (
-        total_s - tail_start >= cfg.min_window_s
+        total_s - tail_start >= MIN_WINDOW_S
     ):
         spans.append((tail_start, total_s))
 
@@ -324,14 +321,12 @@ def _window_grid(feats: FeatureMatrix, cfg: ExtractionConfig):
 
 
 def extract_streams(
-    net: XVectorNet,
-    streams: Iterable[FeatureMatrix],
-    cfg: ExtractionConfig = ExtractionConfig(),
+    net: XVectorNet, streams: Iterable[FeatureMatrix]
 ) -> Iterator[list[XVector]]:
     """Embeddings over the sliding window grid of each stream in turn.
 
     Reads the FeatureMatrix iterable lazily and yields one list[XVector]
-    per stream, in input order; a stream shorter than min_window_s yields
+    per stream, in input order; a stream shorter than MIN_WINDOW_S yields
     []. Times are offset by each stream's start_time_s.
 
     The frame layers run once per block of at most BLOCK_FRAMES rows (one
@@ -378,7 +373,7 @@ def extract_streams(
             raise DimMismatch(
                 f"net expects {net.input_dim}-dim frames, got {feats.dim}"
             )
-        spans, rows = _window_grid(feats, cfg)
+        spans, rows = _window_grid(feats)
         values = [None] * len(spans)
         full = [(a, b) for a, b in rows if b - a >= min_frames]
         if full and used + full[-1][1] - full[0][0] > BLOCK_FRAMES:
@@ -404,14 +399,10 @@ def extract_streams(
     yield from flush()
 
 
-def extract_sequence(
-    net: XVectorNet,
-    feats: FeatureMatrix,
-    cfg: ExtractionConfig = ExtractionConfig(),
-) -> list[XVector]:
+def extract_sequence(net: XVectorNet, feats: FeatureMatrix) -> list[XVector]:
     """Embeddings over one stream's sliding window grid: extract_streams
-    on a single stream, so [] for a stream shorter than min_window_s."""
-    return next(extract_streams(net, [feats], cfg))
+    on a single stream, so [] for a stream shorter than MIN_WINDOW_S."""
+    return next(extract_streams(net, [feats]))
 
 
 # -----------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import numpy as np
 
 from speechseg.frontend import AudioBuffer, apply_cmvn, compute_mfcc
 from speechseg.synth import DEFAULT_SAMPLE_RATE, make_speech_proxy, make_tone
-from speechseg.xvector import extract_sequence
+from speechseg.xvector import WINDOW_S, extract_sequence
 
-CLIP_S = 1.5  # matches the extraction window
+CLIP_S = WINDOW_S  # one clip is one window of xvector's fixed grid
 
 
 def embed_clip(net, audio):

@@ -207,10 +207,10 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("command,doc", [
         ("extract", {"jobs": "2"}),
-        ("extract", {"window": "abc"}),
+        ("train", {"tolerance": "abc"}),
         ("extract", {"jobs": None}),
         ("train", {"svm_c": True}),
-    ], ids=["jobs-str", "window-str", "jobs-null", "svm_c-bool"])
+    ], ids=["jobs-str", "tolerance-str", "jobs-null", "svm_c-bool"])
     def test_config_value_of_wrong_type_rejected(self, work, tmp_path,
                                                  capsys, command, doc):
         cfg = tmp_path / "cfg.json"
@@ -224,6 +224,30 @@ class TestConfigResolution:
         (key,) = doc
         assert f"config key {key!r} must be" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "train", "calibrate",
+                                         "threshold", "segment", "reduce"])
+    @pytest.mark.parametrize("key,value", [
+        ("window", 1.5), ("stride", 0.75), ("min_window", 0.5),
+    ])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_window_grid_is_not_an_option(self, work, tmp_path, capsys,
+                                          command, key, value, how):
+        # the grid is xvector's WINDOW_S / STRIDE_S / MIN_WINDOW_S; even
+        # its own values are refused, by flag and by config key
+        argv = invocation(work, tmp_path, command, {})
+        if how == "flag":
+            flag = "--" + key.replace("_", "-")
+            argv += [flag, str(value)]
+            named = f"unrecognized arguments: {flag}"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+            named = f"unknown config key {key!r}"
+        assert run(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         hyp, cond = self.hyp_files(tmp_path)
@@ -495,6 +519,17 @@ class TestModelCommands:
         assert "EmptyInput" in err
         assert not out.exists()
 
+    def test_train_non_convergence_is_domain_error(self, work, tmp_path,
+                                                   capsys):
+        out = tmp_path / "model.json"
+        code = run(["train", "--manifest", str(work / "train.tsv"),
+                    "--net", str(work / "net.xvnw"), "--out", str(out),
+                    "--max-iter", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: NonConvergence: " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_calibrate_keeps_separator(self, work, tmp_path, run_json):
         out = tmp_path / "recal.json"
         doc = run_json(["calibrate", "--model", str(work / "model.json"),
@@ -636,20 +671,6 @@ class TestSegmentCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "--model" in err
-
-    def test_stride_below_one_frame_is_domain_error(self, work, tmp_path,
-                                                    capsys):
-        out = tmp_path / "x"
-        code = run(["segment", "--strategy", "xvector_filt",
-                    "--audio", str(work / "mix.wav"),
-                    "--net", str(work / "net.xvnw"),
-                    "--model", str(work / "model.json"),
-                    "--stride", "0.001", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "InvalidConfig" in err and "stride_s" in err
-        assert "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
 
     def test_model_missing_key_is_domain_error(self, work, tmp_path,
                                                capsys):

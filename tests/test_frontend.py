@@ -14,6 +14,7 @@ from speechseg.baseline import energy_vad_frames
 from speechseg.errors import (
     AudioTooShort,
     ChannelMismatch,
+    EmptyFeatures,
     InvalidConfig,
     TruncatedFile,
     UnsupportedEncoding,
@@ -218,9 +219,13 @@ class TestMfcc:
             rows = compute_mfcc(audio).rows
             assert np.isfinite(rows).all()
 
-    def test_too_short_raises(self):
-        with pytest.raises(AudioTooShort):
-            compute_mfcc(AudioBuffer(np.zeros(100), 16000))
+    @pytest.mark.parametrize("step,given,error", [
+        (compute_mfcc, AudioBuffer(np.zeros(100), 16000), AudioTooShort),
+        (apply_cmvn, FeatureMatrix(np.zeros((0, 30)), 0.01), EmptyFeatures),
+    ], ids=["mfcc-under-one-frame", "cmvn-no-rows"])
+    def test_too_short_raises(self, step, given, error):
+        with pytest.raises(error):
+            step(given)
 
     def test_bad_config_rejected(self):
         # below 60 Hz a 25 ms frame rounds to 1 sample (a 0/0 Hamming

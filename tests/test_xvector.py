@@ -2,6 +2,7 @@
 import struct
 import tracemalloc
 import zlib
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -14,14 +15,12 @@ from speechseg.errors import (
     CorruptArchive,
     DimMismatch,
     EmptyInput,
-    InvalidConfig,
     NonFiniteWeight,
 )
 from speechseg.frontend import FeatureMatrix
 from speechseg.xvector import (
     BLOCK_FRAMES,
     AffineLayer,
-    ExtractionConfig,
     StatsPool,
     XVector,
     XVectorNet,
@@ -64,7 +63,8 @@ def net_to_plain(net):
     return out
 
 
-def tiny_net(seed=0, d_in=6, hidden=8, emb=512):
+def tiny_net(seed=0, d_in=6, hidden=8, emb=512,
+             offsets=((-1, 0, 1), (-2, 0, 2))):
     """Two frame layers, pool, two segment layers; small enough to read."""
     rng = np.random.default_rng(seed)
 
@@ -80,8 +80,8 @@ def tiny_net(seed=0, d_in=6, hidden=8, emb=512):
 
     return XVectorNet(
         (
-            layer("frame", (-1, 0, 1), d_in, hidden),
-            layer("frame", (-2, 0, 2), hidden, hidden),
+            layer("frame", offsets[0], d_in, hidden),
+            layer("frame", offsets[1], hidden, hidden),
             StatsPool(),
             layer("segment", (0,), 2 * hidden, emb),
             layer("segment", (0,), emb, emb),
@@ -306,6 +306,16 @@ def feats_of(duration_s, shift=0.01, dim=30, seed=0):
     return FeatureMatrix(rows, shift)
 
 
+@contextmanager
+def grid(window_s, stride_s, min_window_s):
+    """Extraction on another window grid than xvector's fixed one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xvector, "WINDOW_S", window_s)
+        mp.setattr(xvector, "STRIDE_S", stride_s)
+        mp.setattr(xvector, "MIN_WINDOW_S", min_window_s)
+        yield
+
+
 def window_rows(feats, vec):
     """Feature rows [a, b) that extract_sequence gives one window."""
     a = round(vec.window_start_s / feats.frame_shift_s)
@@ -341,13 +351,13 @@ class TestExtraction:
         # wide layers are where BLAS could pick another kernel by shape
         small = make_test_net(preset="small")
         standard = make_test_net(preset="standard")
-        short = ExtractionConfig(window_s=0.1, stride_s=0.05, min_window_s=0.05)
-        for net, duration, cfg in ((small, 2.0, ExtractionConfig()),
-                                   (small, 20.3, ExtractionConfig()),
-                                   (small, 3.0, short),
-                                   (standard, 20.3, ExtractionConfig())):
+        for net, duration, short in ((small, 2.0, False),
+                                     (small, 20.3, False),
+                                     (small, 3.0, True),
+                                     (standard, 20.3, False)):
             feats = feats_of(duration)
-            vecs = extract_sequence(net, feats, cfg)
+            with grid(0.1, 0.05, 0.05) if short else nullcontext():
+                vecs = extract_sequence(net, feats)
             rows = [window_rows(feats, v) for v in vecs]
             for v, (a, b) in zip(vecs, rows):
                 want = forward_window(net, feats.rows[a:b]).astype(np.float32)
@@ -403,16 +413,16 @@ class TestExtraction:
         window=st.sampled_from([0.1, 1.0, 1.5, 2.0]),
         stride=st.sampled_from([0.05, 0.25, 0.5, 0.75, 1.0]),
     )
+    @example(duration=3.03, window=0.1, stride=0.05)  # a 0.08 s tail
     @settings(max_examples=25, deadline=None)
     def test_matches_hand_enumeration(self, duration, window, stride):
         if stride > window:
             return
         feats = feats_of(round(duration, 2))
         min_window = min(0.5, window / 2)
-        cfg = ExtractionConfig(window_s=window, stride_s=stride,
-                               min_window_s=min_window)
         net = make_test_net(preset="small")
-        vecs = extract_sequence(net, feats, cfg)
+        with grid(window, stride, min_window):
+            vecs = extract_sequence(net, feats)
         got = [(v.window_start_s, v.window_end_s) for v in vecs]
         want = ref_window_spans(feats.span_s, window, stride, min_window)
         assert got == pytest.approx(want)
@@ -424,20 +434,39 @@ class TestExtraction:
             want = forward_window(net, feats.rows[a:b]).astype(np.float32)
             assert v.values.tobytes() == want.tobytes()
 
-    def test_bad_config(self):
-        with pytest.raises(InvalidConfig):
-            ExtractionConfig(window_s=1.0, stride_s=1.5)
+    def test_wide_receptive_field_pads_short_windows(self, tmp_path,
+                                                     monkeypatch):
+        # a window shorter than the receptive field takes the padded path.
+        # The shortest window on the grid is MIN_WINDOW_S (50 rows), so
+        # only a weight file whose net sees more than 50 rows gets there:
+        # this one sees 121, so the 150-row windows run in a block and the
+        # 80-row clamped tail is padded
+        path = tmp_path / "wide.xvnw"
+        save_weights(tiny_net(d_in=30, offsets=((-30, 0, 30),) * 2), path)
+        net = load_weights(path)
+        assert net.min_frames == 121
+        padded = []
 
-    def test_stride_of_at_least_one_frame(self):
-        ExtractionConfig(stride_s=0.01)
-        for stride in (0.0099, 1e-7, 0.0, -0.75):
-            with pytest.raises(InvalidConfig, match="stride_s"):
-                ExtractionConfig(stride_s=stride)
+        def record(net, frames):
+            padded.append(len(frames))
+            return forward_window(net, frames)
+
+        monkeypatch.setattr(xvector, "forward_window", record)
+        feats = feats_of(3.8)
+        vecs = extract_sequence(net, feats)
+        rows = [window_rows(feats, v) for v in vecs]
+        assert [b - a for a, b in rows] == [150, 150, 150, 150, 80]
+        assert padded == [80]
+        for v, (a, b) in zip(vecs, rows):
+            want = forward_window(net, feats.rows[a:b]).astype(np.float32)
+            assert v.values.tobytes() == want.tobytes()
+            want = ref_forward_xvector(net_to_plain(net), feats.rows[a:b])
+            np.testing.assert_allclose(v.values, want, rtol=1e-5, atol=1e-8)
 
 
-def per_stream(net, streams, cfg):
+def per_stream(net, streams):
     """extract_sequence on each stream alone."""
-    return [extract_sequence(net, feats, cfg) for feats in streams]
+    return [extract_sequence(net, feats) for feats in streams]
 
 
 def assert_same_vectors(got, want):
@@ -447,11 +476,6 @@ def assert_same_vectors(got, want):
             (v.window_start_s, v.window_end_s) for v in w
         ]
         assert [v.values.tobytes() for v in g] == [v.values.tobytes() for v in w]
-
-
-# windows of 30 rows, and clamped tails of 10 to 29 rows: those shorter
-# than the nets' 15-frame receptive field take the padded path
-SHORT_WINDOWS = ExtractionConfig(window_s=0.3, stride_s=0.15, min_window_s=0.1)
 
 
 class TestStreams:
@@ -466,18 +490,20 @@ class TestStreams:
              short_windows=False)
     @settings(max_examples=40, deadline=None)
     def test_packed_matches_per_stream(self, frames, seed, short_windows):
-        # streams below min_window_s (50 rows), streams sharing a block,
-        # and streams longer than one block, in any order
+        # streams below MIN_WINDOW_S (50 rows), streams sharing a block,
+        # and streams longer than one block, in any order. Short windows
+        # are 30 rows, with clamped tails of 10 to 29 rows: those shorter
+        # than the nets' 15-frame receptive field take the padded path
         net = make_test_net(preset="small")
-        cfg = SHORT_WINDOWS if short_windows else ExtractionConfig()
         rng = np.random.default_rng(seed)
         streams = [
             FeatureMatrix(rng.standard_normal((t, 30)), 0.01,
                           start_time_s=0.01 * int(rng.integers(0, 10**5)))
             for t in frames
         ]
-        got = list(extract_streams(net, streams, cfg))
-        assert_same_vectors(got, per_stream(net, streams, cfg))
+        with grid(0.3, 0.15, 0.1) if short_windows else nullcontext():
+            got = list(extract_streams(net, streams))
+            assert_same_vectors(got, per_stream(net, streams))
 
     def test_standard_net_packed_matches_per_stream(self):
         net = make_test_net(seed=3)
@@ -487,9 +513,9 @@ class TestStreams:
             for t, s in ((150, 0.0), (49, 2.0), (420, 3.5), (3100, 9.0),
                          (60, 45.0), (150, 47.0), (1337, 50.0))
         ]
-        got = list(extract_streams(net, streams, ExtractionConfig()))
+        got = list(extract_streams(net, streams))
         assert [len(g) for g in got] == [1, 0, 5, 41, 1, 1, 17]
-        assert_same_vectors(got, per_stream(net, streams, ExtractionConfig()))
+        assert_same_vectors(got, per_stream(net, streams))
 
     def test_short_streams_share_blocks(self, monkeypatch):
         passes = []
