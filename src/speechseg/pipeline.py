@@ -28,11 +28,12 @@ Output segments are sorted, non-overlapping per label, and labeled spkN,
 where N is the clustering id of the run (dense before any filtering).
 
 Windows whose samples are all exactly zero carry no evidence and are
-skipped outright, so digital silence never reaches the classifier and an
-all-zero stream yields an empty segment list under every strategy. The
-test reads the buffer's own samples, int16 for a PCM16 file: the
-recording stays PCM16 through the whole run, and the front end and the
-energy VAD decode it to float64 one block at a time.
+skipped outright, before extraction, so digital silence never reaches the
+TDNN or the classifier and an all-zero stream yields an empty segment
+list under every strategy. The test reads the buffer's own samples, int16
+for a PCM16 file: the recording stays PCM16 through the whole run, and
+the front end and the energy VAD decode it to float64 one block at a
+time.
 """
 from __future__ import annotations
 
@@ -53,7 +54,6 @@ from .frontend import AudioBuffer, FeatureMatrix, apply_cmvn, compute_mfcc, read
 from .segments import Segment, check_sorted
 from .xvector import (
     STRIDE_S,
-    XVector,
     XVectorNet,
     extract_sequence,
     extract_streams,
@@ -264,12 +264,17 @@ def _features(audio: AudioBuffer):
     return apply_cmvn(compute_mfcc(audio))
 
 
-def _silent_window(audio: AudioBuffer, vec: XVector) -> bool:
-    """Whether every sample under the window is zero; a PCM16 sample is
-    zero exactly when its decoded value is."""
-    a = int(round(vec.window_start_s * audio.sample_rate))
-    b = int(round(vec.window_end_s * audio.sample_rate))
+def _silent_window(audio: AudioBuffer, start_s: float, end_s: float) -> bool:
+    """Whether every sample of the window [start_s, end_s) is zero; a
+    PCM16 sample is zero exactly when its decoded value is."""
+    a = int(round(start_s * audio.sample_rate))
+    b = int(round(end_s * audio.sample_rate))
     return not np.any(audio.samples[a:b])
+
+
+def _audible(audio: AudioBuffer):
+    """The keep predicate of extraction: windows not all zero."""
+    return lambda start_s, end_s: not _silent_window(audio, start_s, end_s)
 
 
 def _decide(vectors, cfg, model):
@@ -314,8 +319,7 @@ def _decide(vectors, cfg, model):
 
 
 def _run_xvector(audio, cfg, model, net):
-    vectors = extract_sequence(net, _features(audio))
-    vectors = [v for v in vectors if not _silent_window(audio, v)]
+    vectors = extract_sequence(net, _features(audio), _audible(audio))
     if not vectors:
         return [], [], []
 
@@ -375,12 +379,10 @@ def _run_baseline(audio, cfg, model, net):
             )
     vectors = []
     owner = []  # index into vad_segments per vector
-    streams = extract_streams(net, pieces.values())
+    streams = extract_streams(net, pieces.values(), _audible(audio))
     for k, got in zip(pieces, streams):
-        for v in got:
-            if not _silent_window(audio, v):
-                vectors.append(v)
-                owner.append(k)
+        vectors.extend(got)
+        owner.extend([k] * len(got))
 
     decisions = _decide(vectors, cfg, model)
     ids = [d.cluster for d in decisions]

@@ -16,34 +16,36 @@ Windows lie on one fixed grid, the module constants WINDOW_S, STRIDE_S
 and MIN_WINDOW_S: a model is only valid on the grid it was trained on,
 so no command takes another.
 
-Because the frame layers are a convolution, sliding-window extraction runs
-them once per block of consecutive windows, not once per window: the
-windows overlap by half, so a per-window pass would push most frames
-through them twice. Each window then stats-pools its own rows of the
-block output and applies the first segment affine.
-A block spans at most BLOCK_FRAMES (750) frames, which keeps peak memory
-flat however long the stream is, and the one bound serves both ways a
-block forms. extract_streams embeds many streams in turn: consecutive
-streams whose windows fit in one block share it, their rows
-concatenated, so a manifest of short clips pays the per-block costs (five
-small matrix products, the float64 weight casts) once per block rather
-than once per clip; a longer stream is cut into blocks at window starts.
-A window pools only its own stream's rows; rows whose receptive field
-straddles two streams are computed but never read.
+Because the frame layers are a convolution, extraction runs them once
+over a tape, not once per window: the windows overlap by half, so a
+per-window pass would push most rows through twice. The tape is the
+feature rows of every window the caller keeps, each row once, streams
+concatenated in order. It goes through the frame layers in chunks of at
+most BLOCK_FRAMES new rows, and each layer carries its last span input
+rows into the next chunk, so every frame-layer row is computed once and
+shared by the windows that read it, as in Peddinti et al. 2015 ("A time
+delay neural network architecture for efficient modeling of long
+temporal contexts"). Memory stays flat however long the stream. Short
+streams (manifest clips, baseline VAD regions) share chunks; a window
+that straddles two chunks pools the last frame layer's output it kept
+from the one before. After each chunk, the windows it finished take the
+first segment affine as one matrix product. A window the caller's keep
+predicate rejects is left out of the tape, so its rows never reach the
+frame layers unless a kept window needs them.
 
-How windows fall into blocks does not change an embedding in any case
+How windows fall into chunks does not change an embedding in any case
 measured, but that rests on the float32 cast, not on equal float64 bits.
-BLAS picks its summation kernel by the shape of a product, so a row of a
-wide frame layer can get other last bits in a block of another length.
-On the standard net (OpenBLAS, 2 cores), 71 of the 79 windows of a 60 s
-benchmark recording with one BLAS thread, and all 79 with two, had
-frame-layer rows whose float64 bits differed from a per-window pass in
-750-row blocks (all 79 in 1,500-row blocks); yet every float32 embedding
-equaled forward_window's. On the small net the float64 rows agree too.
-What is checked bit for bit: every small-net window against a per-window
-pass and packed against one stream at a time, a few standard-net streams
-packed against one at a time (tests/test_xvector.py), and the artifacts
-of the benchmark's four workloads, the same at 1,500- and 750-row blocks.
+BLAS picks its summation kernel by the shape of a product: a row of a
+wide frame layer can get other last bits in a chunk than in a per-window
+pass, and the tap's matrix product other last bits than one window's
+vector product. On a 60 s stream of 79 windows, every float64 embedding
+of the small net and of the standard net differed from forward_window's
+in the last bits (with a per-window tap, none of the small net's and 69
+of the standard net's with two BLAS threads, 41 with one); every float32
+embedding was equal. What is checked bit for bit: every small-net window
+against a per-window pass and packed against one stream at a time, a few
+standard-net streams and chunk edges against both (tests/test_xvector.py),
+and the artifacts of the benchmark's four workloads.
 
 Weights live as float32; arithmetic runs in float64. load_weights returns
 them as read-only views of the file's bytes, which it reads once.
@@ -52,7 +54,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,14 +73,15 @@ from .frontend import FeatureMatrix
 
 EMBEDDING_DIM = 512
 BN_EPSILON = 1e-5
-# longest frame span of one block of windows in extract_streams, whether
-# it packs several short streams or cuts a long one. It bounds the block's
-# float64 intermediates, so peak memory does not grow with the stream.
-# Each cut recomputes half a window of rows (75), so smaller blocks cost
-# time. Segmenting 4 x 60 s with the standard net (2 cores, OpenBLAS)
-# peaked at 118 MB RSS with 1,500 rows and at 83 MB with 750 at the same
-# speed; 500 rows reached 77 MB, 15% slower
-BLOCK_FRAMES = 750
+# new feature rows per chunk of extract_streams' frame-layer pass. It bounds
+# the chunk's float64 intermediates, so peak memory does not grow with the
+# stream. With the context carried, a smaller chunk recomputes no rows, but
+# every chunk casts each weight to float64 again. Picked by peak RSS:
+# segmenting 4 x 60 s with the standard net (2 cores, OpenBLAS) peaked at
+# 75.9 MB with 500 rows, 78.1 MB with 600 and 81.4 MB with 750, against
+# 75.7 MB for the 750-row blocks that recomputed the overlap; the baseline
+# strategy on the same audio, at 77.3 MB with 500 rows and 80.2 MB with 600
+BLOCK_FRAMES = 500
 
 # the sliding window grid, in seconds: a window of WINDOW_S every
 # STRIDE_S, and a tail window clamped to the stream end if at least
@@ -236,13 +240,22 @@ class XVector:
 # -----------------------------------------------------------------------------
 
 def stats_pool(frames: np.ndarray) -> np.ndarray:
-    """Mean and population std per dimension, concatenated."""
+    """Mean and population std per dimension, concatenated.
+
+    One sum per column gives the mean, which also centers the deviations,
+    squared in place in one scratch buffer: the bits of np.mean and
+    np.std.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise EmptyInput("stats pooling needs at least one frame")
-    mean = frames.mean(axis=0)
-    std = frames.std(axis=0)
-    return np.concatenate([mean, std])
+    n, d = frames.shape
+    out = np.empty(2 * d)
+    mean = np.divide(np.add.reduce(frames, axis=0), n, out=out[:d])
+    dev = frames - mean
+    np.multiply(dev, dev, out=dev)
+    np.sqrt(np.add.reduce(dev, axis=0) / n, out=out[d:])
+    return out
 
 
 def _pad_to(x: np.ndarray, need: int) -> np.ndarray:
@@ -253,20 +266,40 @@ def _pad_to(x: np.ndarray, need: int) -> np.ndarray:
     return np.pad(x, ((left, missing - left), (0, 0)), mode="edge")
 
 
-def _frame_layers(net: XVectorNet, x: np.ndarray) -> np.ndarray:
-    """Frame-layer outputs for float64 rows x (at least min_frames of them).
+def _frame_layers(
+    net: XVectorNet, x: np.ndarray, carry: list | None = None
+) -> np.ndarray:
+    """Frame-layer outputs for float64 rows x.
 
-    Row t of the output depends only on input rows t .. t + total_context.
+    Without carry, x is a whole input of at least min_frames rows, and
+    output row t depends only on input rows t .. t + total_context. With
+    carry, x is the next chunk of a longer input: carry[k] holds the last
+    span input rows of frame layer k from the chunks before (none at the
+    start) and is updated in place, so the output continues theirs and no
+    row is computed twice.
+
     Each layer's weights are converted to float64 once per call, and the
     elementwise steps run in place on the layer output. A layer's input is
-    dropped once its stacked copy exists.
+    dropped once its stacked copy exists; a single-offset layer multiplies
+    its input as it is.
     """
-    for layer in net.frame_layers:
-        lo = min(layer.offsets)
-        t_out = x.shape[0] - layer.span
-        stacked = np.concatenate(
-            [x[off - lo : off - lo + t_out] for off in layer.offsets], axis=1
-        )
+    for k, layer in enumerate(net.frame_layers):
+        if carry is not None:
+            if len(carry[k]):
+                x = np.concatenate([carry[k], x])
+            carry[k] = x[max(len(x) - layer.span, 0):].copy()
+        t_out = len(x) - layer.span
+        if t_out <= 0:  # a chunk too short to reach this layer's output
+            x = np.empty((0, layer.out_dim))
+            continue
+        if len(layer.offsets) == 1:
+            stacked = x
+        else:
+            lo = min(layer.offsets)
+            stacked = np.concatenate(
+                [x[off - lo : off - lo + t_out] for off in layer.offsets],
+                axis=1,
+            )
         del x  # not alive while the layer's product is allocated
         x = stacked @ layer.weight.T.astype(np.float64)
         del stacked  # not alive while the next layer stacks its input
@@ -320,89 +353,166 @@ def _window_grid(feats: FeatureMatrix):
     return spans, rows
 
 
+class _Tape:
+    """The frame layers over a tape of feature rows, fed in chunks.
+
+    add appends rows, by reference, and windows holds (values, k, a, b)
+    for each window on the tape rows [a, b). feed(final) runs every full
+    chunk of BLOCK_FRAMES new rows through _frame_layers with the carried
+    context, and with final the last short one too. After each chunk, the
+    windows whose rows are all fed stats-pool their rows of the last frame
+    layer's output, then take the tap as one product, and each stores its
+    embedding in row k of its stream's float32 matrix values. The output
+    rows of a window not yet finished are kept as the tail.
+    """
+
+    def __init__(self, net: XVectorNet):
+        self.net = net
+        self.carry = [np.empty((0, l.in_dim)) for l in net.frame_layers]
+        self.parts = deque()  # rows added but not yet fed
+        self.queued = 0  # rows in parts
+        self.size = 0  # rows added
+        self.fed = 0  # rows fed
+        self.windows = deque()  # (values, k, a, b), in tape order
+        self.tail = None  # output rows [tail_at, fed - context)
+        self.tail_at = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        self.parts.append(rows)
+        self.queued += len(rows)
+        self.size += len(rows)
+
+    def feed(self, final: bool = False) -> None:
+        while self.queued >= BLOCK_FRAMES or (final and self.queued):
+            self._chunk(min(self.queued, BLOCK_FRAMES))
+
+    def _chunk(self, n: int) -> None:
+        take = []
+        while n:
+            rows = self.parts.popleft()
+            if len(rows) > n:
+                self.parts.appendleft(rows[n:])
+                rows = rows[:n]
+            take.append(rows)
+            n -= len(rows)
+            self.queued -= len(rows)
+            self.fed += len(rows)
+        context = self.net.total_context
+        y = _frame_layers(
+            self.net,
+            take[0] if len(take) == 1 else np.concatenate(take),
+            self.carry,
+        )
+        del take
+        at = self.fed - context - len(y)  # tape row of y's first row
+        done = []
+        while self.windows and self.windows[0][3] <= self.fed:
+            done.append(self.windows.popleft())
+        pooled = [
+            stats_pool(
+                y[a - at : b - context - at] if a >= at
+                else np.concatenate(  # a window straddling chunks
+                    [self.tail[a - self.tail_at :], y[: b - context - at]]
+                )
+            )
+            for _, _, a, b in done
+        ]
+        if self.windows:
+            a = self.windows[0][2]
+            if a >= at:
+                self.tail = y[a - at :].copy()
+            else:
+                self.tail = np.concatenate([self.tail[a - self.tail_at :], y])
+            self.tail_at = a
+        else:
+            self.tail = None
+        del y  # not alive during the tap product
+        if pooled:
+            tap = self.net.segment_layers[0]
+            out = np.stack(pooled) @ tap.weight.T.astype(np.float64)
+            out += tap.bias
+            for (values, k, _, _), v in zip(done, out):
+                values[k] = v  # the float32 cast XVector makes
+
+
 def extract_streams(
-    net: XVectorNet, streams: Iterable[FeatureMatrix]
+    net: XVectorNet,
+    streams: Iterable[FeatureMatrix],
+    keep: Callable[[float, float], bool] | None = None,
 ) -> Iterator[list[XVector]]:
     """Embeddings over the sliding window grid of each stream in turn.
 
     Reads the FeatureMatrix iterable lazily and yields one list[XVector]
-    per stream, in input order; a stream shorter than MIN_WINDOW_S yields
-    []. Times are offset by each stream's start_time_s.
+    per stream, in input order, as soon as its windows are embedded; a
+    stream shorter than MIN_WINDOW_S yields []. Times are offset by each
+    stream's start_time_s. keep(start_s, end_s), given those times, is
+    called once per window in order; a window it rejects is left out and
+    its rows need not be computed.
 
-    The frame layers run once per block of at most BLOCK_FRAMES rows (one
-    longer window is a block of its own), and each window stats-pools its
-    own rows of the block output. A stream starts a new block unless all
-    its windows fit in the current one, so short streams share a block,
-    their rows concatenated, while a stream longer than BLOCK_FRAMES is
-    cut into blocks at window starts. Windows shorter than the receptive
-    field go through forward_window's padded path.
+    The kept windows' feature rows, each row once, concatenated in stream
+    order, form the tape that _Tape runs through the frame layers. A
+    window pools only its own rows; output rows whose receptive field
+    straddles two runs of the tape are computed but never read. Windows
+    shorter than the receptive field go through forward_window's padded
+    path.
     """
-    context, min_frames = net.total_context, net.min_frames
-    tap = net.segment_layers[0]
-    pending = []  # (start_time_s, spans, values) of streams not yet yielded
-    chunks = []  # [rows, a, b]: feature rows [a, b) of one stream, in order
-    jobs = []  # (values, k, a, b): window k pools block rows [a, b - context)
-    used = 0  # rows in the current block
+    tape = _Tape(net)
+    # (start_time_s, spans, values, tape rows fed when it is done)
+    pending = deque()
 
-    def flush():
-        nonlocal used
-        if used:
-            parts = [rows[a:b] for rows, a, b in chunks]
-            y = _frame_layers(
-                net, parts[0] if len(parts) == 1 else np.concatenate(parts)
-            )
-            pooled = [stats_pool(y[a : b - context]) for _, _, a, b in jobs]
-            del y, parts  # not alive during the tap product
-            tap_weight = tap.weight.T.astype(np.float64)
-            for (values, k, _, _), p in zip(jobs, pooled):
-                # the float32 cast XVector makes, made now, so a long
-                # stream holds half the bytes until it is yielded
-                values[k] = (p @ tap_weight + tap.bias).astype(np.float32)
-            chunks.clear()
-            jobs.clear()
-            used = 0
-        for t0, spans, values in pending:
+    def finished():
+        while pending and pending[0][3] <= tape.fed:
+            t0, spans, values, _ = pending.popleft()
             yield [
                 XVector(v, t0 + start, t0 + end)
                 for v, (start, end) in zip(values, spans)
             ]
-        pending.clear()
 
     for feats in streams:
         if feats.dim != net.input_dim:
             raise DimMismatch(
                 f"net expects {net.input_dim}-dim frames, got {feats.dim}"
             )
+        t0 = feats.start_time_s
         spans, rows = _window_grid(feats)
-        values = [None] * len(spans)
-        full = [(a, b) for a, b in rows if b - a >= min_frames]
-        if full and used + full[-1][1] - full[0][0] > BLOCK_FRAMES:
-            yield from flush()
-        end = None  # end of this stream's rows in the current block
-        for k, (a, b) in enumerate(rows):
-            if b - a < min_frames:
-                values[k] = forward_window(net, feats.rows[a:b])
+        kept = [
+            k for k, (start, stop) in enumerate(spans)
+            if keep is None or keep(t0 + start, t0 + stop)
+        ]
+        # one float32 matrix per stream, allocated before the chunks' float64
+        # temporaries: a small array per window, allocated among them,
+        # fragments the heap (segmenting one 1,200 s recording over and over,
+        # peak RSS then grew pass by pass from 134 to 166 MB)
+        values = np.empty((len(kept), net.embedding_dim), np.float32)
+        run = None  # stream rows [a, b) of the current run of the tape
+        for j, k in enumerate(kept):
+            a, b = rows[k]
+            if b - a < net.min_frames:
+                values[j] = forward_window(net, feats.rows[a:b])
                 continue
-            if end is not None and used + b - end > BLOCK_FRAMES:
-                yield from flush()
-                end = None
-            if end is None:
-                chunks.append([feats.rows, a, a])
-                base, end = used - a, a
-            chunks[-1][2] = b
-            used += b - end
-            end = b
-            jobs.append((values, k, base + a, base + b))
-        pending.append((feats.start_time_s, spans, values))
-        if not used:
-            yield from flush()
-    yield from flush()
+            if run is None or a > run[1]:  # start a new run of the tape
+                if run:
+                    tape.add(feats.rows[run[0] : run[1]])
+                run, base = [a, b], tape.size - a
+            run[1] = b
+            tape.windows.append((values, j, base + a, base + b))
+        if run:  # a run goes onto the tape as one view of the stream's rows
+            tape.add(feats.rows[run[0] : run[1]])
+        pending.append((t0, [spans[k] for k in kept], values, tape.size))
+        tape.feed()
+        yield from finished()
+    tape.feed(final=True)
+    yield from finished()
 
 
-def extract_sequence(net: XVectorNet, feats: FeatureMatrix) -> list[XVector]:
+def extract_sequence(
+    net: XVectorNet,
+    feats: FeatureMatrix,
+    keep: Callable[[float, float], bool] | None = None,
+) -> list[XVector]:
     """Embeddings over one stream's sliding window grid: extract_streams
     on a single stream, so [] for a stream shorter than MIN_WINDOW_S."""
-    return next(extract_streams(net, [feats]))
+    return next(extract_streams(net, [feats], keep))
 
 
 # -----------------------------------------------------------------------------

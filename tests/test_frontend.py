@@ -2,7 +2,6 @@
 import re
 import struct
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -457,8 +456,7 @@ def independent_decode(path):
 
 def window_spans(duration_s):
     n = int((duration_s - 1.5) / 0.75) + 1
-    return [SimpleNamespace(window_start_s=0.75 * i, window_end_s=0.75 * i + 1.5)
-            for i in range(n)]
+    return [(0.75 * i, 0.75 * i + 1.5) for i in range(n)]
 
 
 def assert_same_front_end(audio, want):
@@ -473,8 +471,8 @@ def assert_same_front_end(audio, want):
         assert (energy_vad_frames(audio, mode).decisions.tobytes()
                 == energy_vad_frames(want, mode).decisions.tobytes())
     spans = window_spans(audio.duration_s)
-    silent = [_silent_window(audio, v) for v in spans]
-    assert silent == [_silent_window(want, v) for v in spans]
+    silent = [_silent_window(audio, *v) for v in spans]
+    assert silent == [_silent_window(want, *v) for v in spans]
     return silent
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from speechseg.classifier import TrainConfig, platt_calibrate
 from speechseg.errors import EmptyInput, InvalidConfig, UnsortedInput
-from speechseg.frontend import write_wav
+from speechseg import pipeline, xvector
+from speechseg.frontend import AudioBuffer, write_wav
 from speechseg.metrics import condition_frames, frame_vad_eval, rasterize
 from speechseg.pipeline import (
     STRATEGIES,
@@ -29,7 +30,7 @@ from speechseg.synth import (
     make_speech_then_tone,
     make_tone,
 )
-from speechseg.xvector import make_test_net
+from speechseg.xvector import make_test_net, save_archive
 
 from corpus import training_embeddings
 from reference import ref_cluster_ahc, ref_filter_segments
@@ -433,6 +434,54 @@ class TestRunPipeline:
         b = run_pipeline(fixture_audio, cfg, model=model, net=net)
         key = lambda r: [(s.start_s, s.end_s, s.label) for s in r.segments]
         assert key(a) == key(b)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_skipping_silent_windows_matches_dropping_them(
+        self, net, model, strategy, monkeypatch, tmp_path
+    ):
+        # digital silence at the start, 3.5 s in the middle (whole windows
+        # silent) and at the end: windows that extraction skips must give
+        # what embedding every window and then dropping them gave. The
+        # baseline embeds only inside VAD regions, so a merge gap longer
+        # than the middle silence puts silent windows in one
+        audio = AudioBuffer(np.concatenate([
+            make_silence(1.6).samples,
+            make_speech_proxy(3.0, seed=2).samples,
+            make_silence(3.5).samples,
+            make_tone(2.4, 440.0).samples,
+            make_speech_proxy(1.5, seed=3).samples,
+            make_silence(2.2).samples,
+        ]), SR)
+        cfg = PipelineConfig(strategy=strategy, merge_gap_s=4.0)
+
+        def outputs(tag):
+            res = run_pipeline(audio, cfg, model=model, net=net)
+            save_archive(list(res.xvectors), tmp_path / f"{tag}.xvec")
+            write_decision_log(res.decisions, tmp_path / f"{tag}.log")
+            return ((tmp_path / f"{tag}.xvec").read_bytes(),
+                    (tmp_path / f"{tag}.log").read_bytes(), res.segments)
+
+        skipped = outputs("skip")
+        dropped = []
+
+        def embed_all_then_drop(net, streams, keep):
+            for got in xvector.extract_streams(net, streams):
+                dropped.extend(
+                    v for v in got
+                    if not keep(v.window_start_s, v.window_end_s)
+                )
+                yield [v for v in got
+                       if keep(v.window_start_s, v.window_end_s)]
+
+        monkeypatch.setattr(pipeline, "extract_streams", embed_all_then_drop)
+        monkeypatch.setattr(
+            pipeline, "extract_sequence",
+            lambda net, feats, keep: next(embed_all_then_drop(
+                net, [feats], keep)),
+        )
+        assert outputs("drop") == skipped
+        assert dropped  # some windows were silent
+        assert skipped[2]
 
     def test_xvector_strategy_requires_model(self, net, fixture_audio):
         with pytest.raises(InvalidConfig):

@@ -114,6 +114,13 @@ class TestStatsPool:
         with pytest.raises(EmptyInput):
             stats_pool(np.zeros((0, 4)))
 
+    def test_bits_of_numpy_mean_and_std(self):
+        # windows of one block, as extraction pools them
+        y = np.random.default_rng(1).standard_normal((300, 1500)) ** 3
+        for a, b in ((0, 136), (75, 211), (150, 300), (299, 300)):
+            want = np.concatenate([y[a:b].mean(axis=0), y[a:b].std(axis=0)])
+            assert stats_pool(y[a:b]).tobytes() == want.tobytes()
+
     @given(t=st.integers(1, 40), d=st.integers(1, 6), seed=st.integers(0, 999))
     @settings(max_examples=40, deadline=None)
     def test_std_nonnegative_zero_iff_constant(self, t, d, seed):
@@ -374,14 +381,17 @@ class TestExtraction:
                 )
 
     def test_blocks_bound_the_frame_layer_input(self, monkeypatch):
-        # peak memory stays flat only while no frame-layer pass exceeds
-        # BLOCK_FRAMES rows, however long the stream
+        # peak memory stays flat only while no frame-layer pass takes more
+        # than BLOCK_FRAMES new rows plus each layer's carried context,
+        # however long the stream; and every row goes through once
         passes = []
         frame_layers = xvector._frame_layers
 
-        def record(net, x):
+        def record(net, x, carry=None):
             passes.append(len(x))
-            return frame_layers(net, x)
+            assert all(len(c) <= l.span
+                       for c, l in zip(carry, net.frame_layers))
+            return frame_layers(net, x, carry)
 
         monkeypatch.setattr(xvector, "_frame_layers", record)
         feats = feats_of(20.3)
@@ -390,17 +400,21 @@ class TestExtraction:
         assert feats.num_frames > 2 * BLOCK_FRAMES
         assert rows[-1] == (1950, 2030)  # clamped tail
         assert any(a < BLOCK_FRAMES < b for a, b in rows)
-        assert len(passes) == 3 and max(passes) <= BLOCK_FRAMES
+        assert passes == [BLOCK_FRAMES] * 4 + [2030 - 4 * BLOCK_FRAMES]
 
     def test_peak_memory_is_one_block(self):
-        # the float64 working set of the widest frame layer on a block of
-        # BLOCK_FRAMES rows (stacked input, output, weights); besides the
-        # embeddings it returns, nothing grows with the stream
+        # the float64 working set of the widest frame layer on a chunk of
+        # BLOCK_FRAMES rows and its carried context (stacked input,
+        # output, weights), and the last layer's output rows of one
+        # window kept for the next chunk; besides the embeddings it
+        # returns, nothing grows with the stream
         net = make_test_net(seed=3)
         block = 8 * max(
-            BLOCK_FRAMES * (l.weight.shape[1] + l.out_dim) + l.weight.size
+            (BLOCK_FRAMES + l.span) * (l.weight.shape[1] + l.out_dim)
+            + l.weight.size
             for l in net.frame_layers
         )
+        block += 8 * 150 * net.frame_layers[-1].out_dim
         above_output = []
         for seconds in (60.0, 300.0):
             _, kept, peak = traced(extract_sequence, net, feats_of(seconds))
@@ -464,6 +478,94 @@ class TestExtraction:
             np.testing.assert_allclose(v.values, want, rtol=1e-5, atol=1e-8)
 
 
+def assert_matches_forward(net, feats, vecs):
+    """Each embedding equals forward_window on its own rows, bit for bit."""
+    for v in vecs:
+        a, b = window_rows(feats, v)
+        want = forward_window(net, feats.rows[a:b]).astype(np.float32)
+        assert v.values.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Rows of each chunk fed through the frame layers."""
+    fed = []
+    frame_layers = xvector._frame_layers
+
+    def record(net, x, carry=None):
+        fed.append(len(x))
+        return frame_layers(net, x, carry)
+
+    monkeypatch.setattr(xvector, "_frame_layers", record)
+    return fed
+
+
+class TestCarry:
+    """Chunk edges of the one frame-layer pass over the tape."""
+
+    @pytest.mark.parametrize("preset", ["small", "standard"])
+    def test_final_chunk_shorter_than_widest_span(self, passes, preset):
+        net = make_test_net(seed=3, preset=preset)
+        widest = max(l.span for l in net.frame_layers)
+        rng = np.random.default_rng(5)
+        feats = FeatureMatrix(
+            rng.standard_normal((BLOCK_FRAMES + widest - 1, 30)), 0.01
+        )
+        vecs = extract_sequence(net, feats)
+        assert passes == [BLOCK_FRAMES, widest - 1]
+        assert window_rows(feats, vecs[-1])[1] == feats.num_frames
+        assert_matches_forward(net, feats, vecs)
+
+    def test_streams_packed_across_chunk_boundary(self, passes):
+        net = make_test_net(preset="small")
+        rng = np.random.default_rng(6)
+        streams = [
+            FeatureMatrix(rng.standard_normal((t, 30)), 0.01,
+                          start_time_s=s)
+            for t, s in ((120, 0.0), (230, 4.0), (180, 9.0), (90, 20.0))
+        ]
+        got = list(extract_streams(net, streams))
+        # the third stream's rows are tape rows [350, 530)
+        assert passes == [BLOCK_FRAMES, 620 - BLOCK_FRAMES]
+        for feats, vecs in zip(streams, got):
+            shifted = [
+                XVector(v.values, v.window_start_s - feats.start_time_s,
+                        v.window_end_s - feats.start_time_s)
+                for v in vecs
+            ]
+            assert_matches_forward(net, feats, shifted)
+        assert_same_vectors(got, per_stream(net, streams))
+
+    def test_standard_net_window_straddles_chunks(self):
+        net = make_test_net(seed=3)
+        feats = feats_of(7.0)
+        vecs = extract_sequence(net, feats)
+        # the last frame layer's first chunk ends at output row 486
+        first = BLOCK_FRAMES - net.total_context
+        rows = [window_rows(feats, v) for v in vecs]
+        assert sum(a < first < b - net.total_context for a, b in rows) == 2
+        assert_matches_forward(net, feats, vecs)
+
+    def test_keep_leaves_out_rejected_windows_and_their_rows(self, passes):
+        net = make_test_net(preset="small")
+        feats = feats_of(12.0)
+        every = extract_sequence(net, feats)
+        del passes[:]
+        asked = []
+
+        def keep(start_s, end_s):
+            asked.append((start_s, end_s))
+            return not 2.0 < start_s < 8.0
+
+        vecs = extract_sequence(net, feats, keep)
+        assert asked == [(v.window_start_s, v.window_end_s) for v in every]
+        want = [v for v in every if keep(v.window_start_s, v.window_end_s)]
+        assert_same_vectors([vecs], [want])
+        # windows starting at 0 to 1.5 s and 8.25 to 10.5 s: feature rows
+        # [0, 300) and [825, 1200), each fed once
+        assert sum(passes) == 300 + 375
+
+
 def per_stream(net, streams):
     """extract_sequence on each stream alone."""
     return [extract_sequence(net, feats) for feats in streams]
@@ -521,23 +623,23 @@ class TestStreams:
         passes = []
         frame_layers = xvector._frame_layers
 
-        def record(net, x):
+        def record(net, x, carry=None):
             passes.append(len(x))
-            return frame_layers(net, x)
+            return frame_layers(net, x, carry)
 
         monkeypatch.setattr(xvector, "_frame_layers", record)
-        # clips of 150 rows, five to a block; a 1,600-row stream too long
-        # to pack, cut at window starts into 750, 750 and 250 rows; then a
-        # clip that packs onto its last block
+        # clips of 150 rows, a 1,600-row stream and another clip: one tape
+        # of 3,550 rows, cut into chunks wherever BLOCK_FRAMES falls, so
+        # chunks hold several clips and clips straddle chunks
         streams = [feats_of(1.5, seed=k) for k in range(12)]
         streams += [feats_of(16.0, seed=12), feats_of(1.5, seed=13)]
         got = list(extract_streams(make_test_net(preset="small"), streams))
         assert [len(g) for g in got] == [1] * 12 + [21, 1]
-        assert BLOCK_FRAMES == 750
-        assert passes == [750, 750, 300, 750, 750, 250 + 150]
+        assert BLOCK_FRAMES == 500
+        assert passes == [500] * 7 + [50]
 
     def test_reads_lazily(self):
-        # the first result is out once the first block is full, long
+        # the first result is out once the first chunk is full, long
         # before the input ends
         pulled = []
 
