@@ -91,14 +91,12 @@ def median_filter(track: FrameDecisionTrack, width: int = 5) -> FrameDecisionTra
     if width < 1 or width % 2 == 0:
         raise InvalidConfig("median width must be odd and positive")
     x = track.decisions
-    n = len(x)
-    out = np.empty_like(x)
+    i = np.arange(len(x))
+    # each frame's half-width, shrunken at the edges
+    k = np.minimum(width // 2, np.minimum(i, len(x) - 1 - i))
     prefix = np.concatenate([[0], np.cumsum(x, dtype=np.int64)])
-    for i in range(n):
-        k = min(width // 2, i, n - 1 - i)  # shrunken half-width at edges
-        ones = prefix[i + k + 1] - prefix[i - k]
-        out[i] = 1 if 2 * ones > 2 * k + 1 else 0
-    return FrameDecisionTrack(out, track.frame_period_s)
+    ones = prefix[i + k + 1] - prefix[i - k]  # ones in each window
+    return FrameDecisionTrack(2 * ones > 2 * k + 1, track.frame_period_s)
 
 
 def decisions_to_segments(track: FrameDecisionTrack) -> list[Segment]:

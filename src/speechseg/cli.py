@@ -107,13 +107,13 @@ def _embed_manifest(cfg, net):
     shorter than xvector.MIN_WINDOW_S contribute nothing."""
     entries = read_manifest(cfg["manifest"])
     streams = extract_streams(net, (_features(e.path) for e in entries))
-    rows, owners = [], []
-    for entry, vecs in zip(entries, streams):
-        rows.extend(v.values for v in vecs)
-        owners.extend([entry] * len(vecs))
-    if not rows:
+    values, owners = [], []
+    for entry, records in zip(entries, streams):
+        values.append(records.values)
+        owners.extend([entry] * len(records))
+    if not owners:
         raise EmptyInput("manifest produced no embeddings")
-    return np.array(rows, dtype=np.float64), owners
+    return np.concatenate(values, dtype=np.float64), owners
 
 
 def _gather_inputs(cfg):
@@ -285,7 +285,7 @@ def _cmd_segment(cfg):
         log = out_dir / f"{file_id}.decisions.log"
         write_tsv(list(res.segments), tsv)
         write_rttm(list(res.segments), file_id, rttm)
-        save_archive(list(res.xvectors), xvec)
+        save_archive(res.xvectors, xvec)
         write_decision_log(res.decisions, log)
         return {
             "id": file_id,

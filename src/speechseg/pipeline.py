@@ -5,9 +5,11 @@ the fixed grid of speechseg.xvector: WINDOW_S (1.5 s) long, STRIDE_S
 (0.75 s) apart, with a clamped tail of at least MIN_WINDOW_S. Every window
 gets a calibrated speech probability (1.0 for the baseline without a
 model), one AHC pass clusters the embedding matrix of the windows the
-strategy picks, and every window gets one DecisionRecord (span,
-probability, speech or noise by the probability cut, cluster id), which
-is what the decision log, segment building and segment filtering read.
+strategy picks, and every window gets one row of a DECISION record array
+(span, probability, speech or not by the probability cut, cluster id),
+whose columns the decision log, segment building and segment filtering
+read. Embeddings come in as one xvector.RECORD array; no stage builds an
+object per window.
 The cut is the model's own decision_threshold: `train` writes 0.5 and
 `threshold --out` writes the operating point picked for a target FPR.
 They differ in three things only:
@@ -53,6 +55,7 @@ from .errors import EmptyInput, InvalidConfig, UnsortedInput
 from .frontend import AudioBuffer, FeatureMatrix, apply_cmvn, compute_mfcc, read_wav
 from .segments import Segment, check_sorted
 from .xvector import (
+    RECORD,
     STRIDE_S,
     XVectorNet,
     extract_sequence,
@@ -95,20 +98,19 @@ class ClusteredSequence:
     cluster_ids: list[int]
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    start_s: float
-    end_s: float
-    probability: float
-    label: str
-    cluster: int  # -1 when the window never reached clustering
+# one window's decision: its span, calibrated speech probability, whether
+# that is at or above the cut, and its cluster id (-1 when the window never
+# reached clustering)
+DECISION = np.dtype([("start_s", "<f8"), ("end_s", "<f8"),
+                     ("probability", "<f8"), ("speech", "?"),
+                     ("cluster", "<i8")])
 
 
 @dataclass(frozen=True)
 class PipelineResult:
     segments: tuple
-    xvectors: tuple
-    decisions: tuple
+    xvectors: np.recarray  # of xvector.RECORD
+    decisions: np.recarray  # of DECISION, one per row of xvectors
 
 
 def cluster_ahc(
@@ -155,11 +157,11 @@ def cluster_ahc(
     np.fill_diagonal(dist, np.inf)
 
     sizes = np.ones(n)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    owner = np.arange(n)  # the row that holds each input row's cluster
     live = np.ones(n, dtype=bool)
     nn = dist.argmin(axis=1)
     nd = dist[np.arange(n), nn]
-    while len(members) > 1:
+    for _ in range(n - 1):
         i = int(np.argmin(nd))  # lowest row holding the global minimum
         j = int(nn[i])
         if nd[i] > distance_threshold:
@@ -173,7 +175,7 @@ def cluster_ahc(
         dist[j, :] = np.inf
         dist[:, j] = np.inf
         sizes[i] += sizes[j]
-        members[i].extend(members.pop(j))
+        owner[owner == j] = i
         live[j] = False
         nd[j] = np.inf
 
@@ -190,31 +192,30 @@ def cluster_ahc(
         nn[rows] = dist[rows].argmin(axis=1)
         nd[rows] = dist[rows, nn[rows]]
 
-    ids = [0] * n
-    for cid, group in enumerate(sorted(members.values(), key=min)):
-        for t in group:
-            ids[t] = cid
-    return ClusteredSequence(ids)
+    # number the clusters by their first input row
+    _, first, ids = np.unique(owner, return_index=True, return_inverse=True)
+    return ClusteredSequence(np.argsort(np.argsort(first))[ids].tolist())
 
 
 def filter_segments(
-    decisions: list[DecisionRecord],
+    decisions: np.recarray,
     segments: list[Segment],
     noise_proportion_threshold: float,
 ) -> list[Segment]:
     """Drop segments whose attributed windows are mostly noise.
 
-    A window belongs to the first segment containing its center. A segment
-    is rejected iff the fraction of its windows labeled noise strictly
-    exceeds the noise proportion threshold; segments with no attributed
-    window are rejected too. Segments must be sorted by start, as
-    _runs_to_segments returns them; they may overlap.
+    decisions is a DECISION recarray. A window belongs to the first
+    segment containing its center. A segment is rejected iff the fraction
+    of its windows not labeled speech strictly exceeds the noise
+    proportion threshold; segments with no attributed window are rejected
+    too. Segments must be sorted by start, as _runs_to_segments returns
+    them; they may overlap.
     """
     starts = np.array([s.start_s for s in segments])
     if np.any(starts[1:] < starts[:-1]):
         raise UnsortedInput("filter_segments needs segments sorted by start")
-    centers = np.array([(d.start_s + d.end_s) / 2.0 for d in decisions])
-    noisy = np.array([d.label == "noise" for d in decisions], dtype=bool)
+    centers = (decisions.start_s + decisions.end_s) / 2.0
+    noisy = ~decisions.speech
     # with starts sorted, the first segment whose end exceeds c is the
     # first one whose running maximum of ends does; it contains c iff it
     # starts at or before c, and else no segment does
@@ -251,13 +252,13 @@ def run_pipeline(
         )
 
     if cfg.strategy == "baseline":
-        segments, vectors, decisions = _run_baseline(audio, cfg, model, net)
+        segments, records, decisions = _run_baseline(audio, cfg, model, net)
     else:
-        segments, vectors, decisions = _run_xvector(audio, cfg, model, net)
+        segments, records, decisions = _run_xvector(audio, cfg, model, net)
 
     segments = sorted(segments, key=lambda s: (s.start_s, s.end_s, s.label))
     check_sorted(segments)
-    return PipelineResult(tuple(segments), tuple(vectors), tuple(decisions))
+    return PipelineResult(tuple(segments), records, decisions)
 
 
 def _features(audio: AudioBuffer):
@@ -277,8 +278,8 @@ def _audible(audio: AudioBuffer):
     return lambda start_s, end_s: not _silent_window(audio, start_s, end_s)
 
 
-def _decide(vectors, cfg, model):
-    """Score, cluster and log every window: one DecisionRecord each.
+def _decide(records, cfg, model):
+    """Score, cluster and log every window: a DECISION recarray.
 
     A window is speech when its probability is at or above the model's
     decision_threshold; without a model every window has probability 1.0
@@ -288,74 +289,57 @@ def _decide(vectors, cfg, model):
     other strategies cluster every window on centered directions. A
     window left out of clustering is logged with cluster -1.
     """
+    out = np.recarray(len(records), DECISION)
+    out.start_s, out.end_s = records.window_start_s, records.window_end_s
     if model is None:
-        probs, cut = [1.0] * len(vectors), 1.0
+        out.probability, cut = 1.0, 1.0
     else:
-        probs = [model.probability(v.values) for v in vectors]
+        out.probability = np.fromiter(
+            map(model.probability, records.values), float, len(records)
+        )
         cut = model.decision_threshold
+    out.speech = out.probability >= cut
+    out.cluster = -1
     if cfg.strategy == "xvector_filt":
-        picked = [i for i, p in enumerate(probs) if p >= cut]
+        picked = np.flatnonzero(out.speech)
     else:
-        picked = list(range(len(vectors)))
-    ids = [-1] * len(vectors)
-    if picked:
-        clustered = cluster_ahc(
-            np.stack([vectors[i].values for i in picked]),
+        picked = np.arange(len(records))
+    if len(picked):
+        out.cluster[picked] = cluster_ahc(
+            records.values[picked],
             cfg.cluster_distance_threshold,
             center=cfg.strategy != "xvector_filt",
-        )
-        for i, cid in zip(picked, clustered.cluster_ids):
-            ids[i] = cid
-    return [
-        DecisionRecord(
-            v.window_start_s,
-            v.window_end_s,
-            probs[i],
-            "speech" if probs[i] >= cut else "noise",
-            ids[i],
-        )
-        for i, v in enumerate(vectors)
-    ]
+        ).cluster_ids
+    return out
 
 
 def _run_xvector(audio, cfg, model, net):
-    vectors = extract_sequence(net, _features(audio), _audible(audio))
-    if not vectors:
-        return [], [], []
-
-    decisions = _decide(vectors, cfg, model)
+    records = extract_sequence(net, _features(audio), _audible(audio))
+    decisions = _decide(records, cfg, model)
     runs = _runs_to_segments(decisions)
     if cfg.strategy == "xvector_seg_filt":
         runs = filter_segments(
             decisions, runs, cfg.noise_proportion_threshold
         )
-    return merge_segments(runs, cfg.merge_gap_s), vectors, decisions
+    return merge_segments(runs, cfg.merge_gap_s), records, decisions
 
 
 def _runs_to_segments(decisions):
     """Stride-adjacent clustered windows sharing a cluster become one
     segment; windows with cluster -1 are skipped."""
-    segments = []
-    run_start = run_end = None
-    run_id = None
-    prev_start = None
-    for d in decisions:
-        if d.cluster < 0:
-            continue
-        adjacent = (
-            prev_start is not None
-            and abs(d.start_s - prev_start - STRIDE_S) < 1e-9
+    d = decisions[decisions.cluster >= 0]
+    head = np.ones(len(d), dtype=bool)  # whether a window starts a run
+    head[1:] = (d.cluster[1:] != d.cluster[:-1]) | ~(
+        np.abs(d.start_s[1:] - d.start_s[:-1] - STRIDE_S) < 1e-9
+    )
+    at = np.flatnonzero(head)
+    ends = np.maximum.reduceat(d.end_s, at)
+    return [
+        Segment(start, end, f"spk{cid}")
+        for start, end, cid in zip(
+            d.start_s[at].tolist(), ends.tolist(), d.cluster[at].tolist()
         )
-        if run_id == d.cluster and adjacent:
-            run_end = max(run_end, d.end_s)
-        else:
-            if run_id is not None:
-                segments.append(Segment(run_start, run_end, f"spk{run_id}"))
-            run_start, run_end, run_id = d.start_s, d.end_s, d.cluster
-        prev_start = d.start_s
-    if run_id is not None:
-        segments.append(Segment(run_start, run_end, f"spk{run_id}"))
-    return segments
+    ]
 
 
 def _run_baseline(audio, cfg, model, net):
@@ -364,8 +348,9 @@ def _run_baseline(audio, cfg, model, net):
     vad_segments = merge_segments(
         decisions_to_segments(track), cfg.merge_gap_s
     )
+    records = np.recarray(0, RECORD)
     if not vad_segments:
-        return [], [], []
+        return [], records, _decide(records, cfg, model)
 
     feats = _features(audio)
     shift = feats.frame_shift_s
@@ -377,39 +362,34 @@ def _run_baseline(audio, cfg, model, net):
             pieces[k] = FeatureMatrix(
                 feats.rows[a:b], shift, start_time_s=a * shift
             )
-    vectors = []
-    owner = []  # index into vad_segments per vector
-    streams = extract_streams(net, pieces.values(), _audible(audio))
-    for k, got in zip(pieces, streams):
-        vectors.extend(got)
-        owner.extend([k] * len(got))
-
-    decisions = _decide(vectors, cfg, model)
-    ids = [d.cluster for d in decisions]
+    got = list(extract_streams(net, pieces.values(), _audible(audio)))
+    records = np.concatenate([records, *got]).view(np.recarray)
+    decisions = _decide(records, cfg, model)
 
     # majority cluster labels each VAD segment; ties pick the lowest id,
-    # and segments too short to embed get fresh ids after the real ones
-    votes: dict[int, dict[int, int]] = {}
-    for i, k in enumerate(owner):
-        votes.setdefault(k, {}).setdefault(ids[i], 0)
-        votes[k][ids[i]] += 1
-    next_fresh = (max(ids) + 1) if ids else 0
+    # and segments too short to embed get fresh ids after the real ones.
+    # A segment's windows are consecutive rows
+    count = dict(zip(pieces, map(len, got)))
+    ids = decisions.cluster
+    next_fresh = int(ids.max()) + 1 if len(ids) else 0
+    at = 0
     segments = []
     for k, seg in enumerate(vad_segments):
-        if k in votes:
-            best = max(votes[k].items(), key=lambda it: (it[1], -it[0]))[0]
+        n = count.get(k, 0)
+        if n:
+            best = int(np.bincount(ids[at : at + n]).argmax())
+            at += n
         else:
             best = next_fresh
             next_fresh += 1
         segments.append(Segment(seg.start_s, seg.end_s, f"spk{best}"))
-    return segments, vectors, decisions
+    return segments, records, decisions
 
 
 def write_decision_log(decisions, path: str | Path) -> None:
-    """One line per window: `start end probability label cluster`."""
+    """One line per window of a DECISION recarray:
+    `start end probability label cluster`."""
     with open(path, "w", encoding="utf-8") as f:
-        for d in decisions:
-            f.write(
-                f"{d.start_s:.3f} {d.end_s:.3f} {d.probability:.6f} "
-                f"{d.label} {d.cluster}\n"
-            )
+        for start, end, p, speech, cid in decisions.tolist():
+            label = "speech" if speech else "noise"
+            f.write(f"{start:.3f} {end:.3f} {p:.6f} {label} {cid}\n")

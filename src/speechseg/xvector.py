@@ -49,6 +49,10 @@ and the artifacts of the benchmark's four workloads.
 
 Weights live as float32; arithmetic runs in float64. load_weights returns
 them as read-only views of the file's bytes, which it reads once.
+
+Embeddings travel as record arrays of RECORD (window_start_s,
+window_end_s, 512 float32 values): extraction fills one per stream, and
+an .xvec archive is one such array behind a header and a CRC.
 """
 from __future__ import annotations
 
@@ -95,6 +99,11 @@ WEIGHTS_VERSION = 1
 ARCHIVE_MAGIC = b"XVEC"
 
 _FRAME, _POOL, _SEGMENT = 0, 1, 2
+
+# one embedding and the audio interval it was computed from: extraction
+# yields np.recarrays of these, and an archive stores them as they are
+RECORD = np.dtype([("window_start_s", "<f8"), ("window_end_s", "<f8"),
+                   ("values", "<f4", EMBEDDING_DIM)])
 
 
 @dataclass(frozen=True)
@@ -210,29 +219,6 @@ class XVectorNet:
     @property
     def min_frames(self) -> int:
         return self.total_context + 1
-
-
-@dataclass(frozen=True)
-class XVector:
-    """One embedding with the audio interval it was computed from."""
-
-    values: np.ndarray
-    window_start_s: float
-    window_end_s: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float32)
-        )
-        if self.values.shape != (EMBEDDING_DIM,):
-            raise DimMismatch(
-                f"x-vector must have {EMBEDDING_DIM} values, "
-                f"got {self.values.shape}"
-            )
-        if not np.isfinite(self.values).all():
-            raise NonFiniteWeight("x-vector contains non-finite values")
-        if not self.window_end_s > self.window_start_s:
-            raise InvalidConfig("window must have positive length")
 
 
 # -----------------------------------------------------------------------------
@@ -432,22 +418,22 @@ class _Tape:
             out = np.stack(pooled) @ tap.weight.T.astype(np.float64)
             out += tap.bias
             for (values, k, _, _), v in zip(done, out):
-                values[k] = v  # the float32 cast XVector makes
+                values[k] = v  # cast to the record's float32
 
 
 def extract_streams(
     net: XVectorNet,
     streams: Iterable[FeatureMatrix],
     keep: Callable[[float, float], bool] | None = None,
-) -> Iterator[list[XVector]]:
+) -> Iterator[np.recarray]:
     """Embeddings over the sliding window grid of each stream in turn.
 
-    Reads the FeatureMatrix iterable lazily and yields one list[XVector]
-    per stream, in input order, as soon as its windows are embedded; a
-    stream shorter than MIN_WINDOW_S yields []. Times are offset by each
-    stream's start_time_s. keep(start_s, end_s), given those times, is
-    called once per window in order; a window it rejects is left out and
-    its rows need not be computed.
+    Reads the FeatureMatrix iterable lazily and yields one np.recarray of
+    RECORD per stream, in input order, as soon as its windows are
+    embedded; a stream shorter than MIN_WINDOW_S yields an empty one.
+    Times are offset by each stream's start_time_s. keep(start_s, end_s),
+    given those times, is called once per window in order; a window it
+    rejects is left out and its rows need not be computed.
 
     The kept windows' feature rows, each row once, concatenated in stream
     order, form the tape that _Tape runs through the frame layers. A
@@ -457,16 +443,14 @@ def extract_streams(
     path.
     """
     tape = _Tape(net)
-    # (start_time_s, spans, values, tape rows fed when it is done)
-    pending = deque()
+    pending = deque()  # (records, tape rows fed when they are done)
 
     def finished():
-        while pending and pending[0][3] <= tape.fed:
-            t0, spans, values, _ = pending.popleft()
-            yield [
-                XVector(v, t0 + start, t0 + end)
-                for v, (start, end) in zip(values, spans)
-            ]
+        while pending and pending[0][1] <= tape.fed:
+            records = pending.popleft()[0]
+            if not np.isfinite(records.values).all():
+                raise NonFiniteWeight("x-vector contains non-finite values")
+            yield records
 
     for feats in streams:
         if feats.dim != net.input_dim:
@@ -479,11 +463,14 @@ def extract_streams(
             k for k, (start, stop) in enumerate(spans)
             if keep is None or keep(t0 + start, t0 + stop)
         ]
-        # one float32 matrix per stream, allocated before the chunks' float64
+        # one record array per stream, allocated before the chunks' float64
         # temporaries: a small array per window, allocated among them,
         # fragments the heap (segmenting one 1,200 s recording over and over,
         # peak RSS then grew pass by pass from 134 to 166 MB)
-        values = np.empty((len(kept), net.embedding_dim), np.float32)
+        records = np.recarray(len(kept), RECORD)
+        times = t0 + np.reshape([spans[k] for k in kept], (-1, 2))
+        records.window_start_s, records.window_end_s = times.T
+        values = records.values
         run = None  # stream rows [a, b) of the current run of the tape
         for j, k in enumerate(kept):
             a, b = rows[k]
@@ -498,7 +485,7 @@ def extract_streams(
             tape.windows.append((values, j, base + a, base + b))
         if run:  # a run goes onto the tape as one view of the stream's rows
             tape.add(feats.rows[run[0] : run[1]])
-        pending.append((t0, [spans[k] for k in kept], values, tape.size))
+        pending.append((records, tape.size))
         tape.feed()
         yield from finished()
     tape.feed(final=True)
@@ -509,9 +496,9 @@ def extract_sequence(
     net: XVectorNet,
     feats: FeatureMatrix,
     keep: Callable[[float, float], bool] | None = None,
-) -> list[XVector]:
+) -> np.recarray:
     """Embeddings over one stream's sliding window grid: extract_streams
-    on a single stream, so [] for a stream shorter than MIN_WINDOW_S."""
+    on a single stream, so empty for a stream shorter than MIN_WINDOW_S."""
     return next(extract_streams(net, [feats], keep))
 
 
@@ -573,13 +560,9 @@ def make_test_net(
 # i16 offsets, u32 in/out dims, f32 weights row-major, f32 bias, f32 bn
 # mean/var.
 #
-# Embedding archive: magic "XVEC", u32 count, then count _RECORDs: f64
-# start_s, f64 end_s, 512 f32 values.
+# Embedding archive: magic "XVEC", u32 count, then count RECORDs: f64
+# window_start_s, f64 window_end_s, 512 f32 values.
 # -----------------------------------------------------------------------------
-
-_RECORD = np.dtype([("start", "<f8"), ("end", "<f8"),
-                    ("values", "<f4", EMBEDDING_DIM)])
-
 
 def _write_checked(path: str | Path, body: bytes) -> None:
     """Write body (magic first) and its CRC32."""
@@ -673,23 +656,26 @@ def load_weights(path: str | Path) -> XVectorNet:
     return XVectorNet(tuple(layers))
 
 
-def save_archive(vectors: list[XVector], path: str | Path) -> None:
-    records = np.fromiter(
-        ((v.window_start_s, v.window_end_s, v.values) for v in vectors),
-        _RECORD, len(vectors),
-    )
-    header = ARCHIVE_MAGIC + struct.pack("<I", len(vectors))
-    _write_checked(path, b"".join((header, records)))  # one copy of records
+def save_archive(records: np.ndarray, path: str | Path) -> None:
+    """Write a RECORD array as it is."""
+    header = ARCHIVE_MAGIC + struct.pack("<I", len(records))
+    body = b"".join((header, np.ascontiguousarray(records, RECORD)))
+    _write_checked(path, body)  # one copy of the records
 
 
-def load_archive(path: str | Path) -> list[XVector]:
-    """Read an archive. Each XVector's values are a read-only view of the
-    one buffer the file is read into."""
+def load_archive(path: str | Path) -> list:
+    """Read an archive: the rows of a read-only RECORD recarray over the
+    one buffer the file is read into, as a list, whose truth value says
+    whether there are any. Every value must be finite, and every window
+    must end after it starts."""
     body = _read_checked(path, ARCHIVE_MAGIC, "an x-vector archive")
     (count,) = struct.unpack_from("<I", body, 4)
-    size = 8 + count * _RECORD.itemsize
+    size = 8 + count * RECORD.itemsize
     if len(body) != size:
         raise CorruptArchive(f"{path}: {len(body)} bytes, expected {size}")
-    r = np.frombuffer(body, _RECORD, offset=8)
-    return list(map(XVector, r["values"], r["start"].tolist(),
-                    r["end"].tolist()))
+    records = np.frombuffer(body, RECORD, offset=8).view(np.recarray)
+    if not np.isfinite(records.values).all():
+        raise NonFiniteWeight(f"{path}: x-vector contains non-finite values")
+    if not (records.window_end_s > records.window_start_s).all():
+        raise InvalidConfig(f"{path}: window must have positive length")
+    return list(records)

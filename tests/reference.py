@@ -280,8 +280,36 @@ def ref_cluster_ahc(values, distance_threshold, center=False):
 
 
 # -----------------------------------------------------------------------------
-# Segment filtering, as a windows x segments loop.
+# Segments from window decisions, as loops over the windows. decisions is a
+# record array with fields start_s, end_s, probability, speech (bool) and
+# cluster (-1 for a window that never reached clustering).
 # -----------------------------------------------------------------------------
+
+def ref_runs_to_segments(decisions, stride_s=0.75):
+    """(start, end, "spk<id>") per run of clustered windows that share a
+    cluster and start stride_s apart; windows with cluster -1 are skipped."""
+    segments = []
+    run_start = run_end = None
+    run_id = None
+    prev_start = None
+    for d in decisions:
+        if d.cluster < 0:
+            continue
+        adjacent = (
+            prev_start is not None
+            and abs(d.start_s - prev_start - stride_s) < 1e-9
+        )
+        if run_id == d.cluster and adjacent:
+            run_end = max(run_end, d.end_s)
+        else:
+            if run_id is not None:
+                segments.append((run_start, run_end, f"spk{run_id}"))
+            run_start, run_end, run_id = d.start_s, d.end_s, d.cluster
+        prev_start = d.start_s
+    if run_id is not None:
+        segments.append((run_start, run_end, f"spk{run_id}"))
+    return segments
+
 
 def ref_filter_segments(decisions, segments, noise_proportion_threshold):
     """Keep a segment iff windows attributed to it exist and at most the
@@ -289,12 +317,14 @@ def ref_filter_segments(decisions, segments, noise_proportion_threshold):
     to the first segment whose [start, end) holds its center."""
     totals = [0] * len(segments)
     noise = [0] * len(segments)
-    for d in decisions:
-        center = (d.start_s + d.end_s) / 2.0
+    for start, end, speech in zip(
+        decisions.start_s, decisions.end_s, decisions.speech
+    ):
+        center = (start + end) / 2.0
         for k, seg in enumerate(segments):
             if seg.start_s <= center < seg.end_s:
                 totals[k] += 1
-                if d.label == "noise":
+                if not speech:
                     noise[k] += 1
                 break
     return [

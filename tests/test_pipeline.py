@@ -14,9 +14,10 @@ from speechseg import pipeline, xvector
 from speechseg.frontend import AudioBuffer, write_wav
 from speechseg.metrics import condition_frames, frame_vad_eval, rasterize
 from speechseg.pipeline import (
+    DECISION,
     STRATEGIES,
-    DecisionRecord,
     PipelineConfig,
+    _runs_to_segments,
     cluster_ahc,
     filter_segments,
     run_pipeline,
@@ -33,7 +34,11 @@ from speechseg.synth import (
 from speechseg.xvector import make_test_net, save_archive
 
 from corpus import training_embeddings
-from reference import ref_cluster_ahc, ref_filter_segments
+from reference import (
+    ref_cluster_ahc,
+    ref_filter_segments,
+    ref_runs_to_segments,
+)
 
 SR = 16000
 DIM = 512
@@ -189,14 +194,49 @@ class TestClusteredSequence:
         assert cluster_ahc(vecs, 0.35).cluster_ids == [0, 1, 0, 2, 1]
 
 
+def decisions_of(rows):
+    """A DECISION recarray of (start, end, probability, speech, cluster)."""
+    return np.array(rows, DECISION).view(np.recarray)
+
+
 def clustered_at(centers_probs, cut=0.5):
-    """Decision records of 1.5 s windows centered at the given times,
-    labeled as a model with decision threshold cut labels them."""
-    return [
-        DecisionRecord(c - 0.75, c + 0.75, p,
-                       "speech" if p >= cut else "noise", 0)
-        for c, p in centers_probs
-    ]
+    """Decisions of 1.5 s windows centered at the given times, labeled as
+    a model with decision threshold cut labels them."""
+    return decisions_of(
+        [(c - 0.75, c + 0.75, p, p >= cut, 0) for c, p in centers_probs]
+    )
+
+
+class TestRunsToSegments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.integers(0, 1000).map(lambda t: 0.01 * t),
+        windows=st.lists(
+            st.tuples(
+                # strides since the previous window's start: more than one
+                # after skipped windows, and off the stride when nudged
+                st.sampled_from([1, 1, 1, 2, 3]),
+                st.sampled_from([0.0, 0.0, 0.0, 0.01, -0.2]),
+                st.integers(-1, 2),
+            ),
+            max_size=30,
+        ),
+        tail=st.sampled_from([None, 0.5, 0.6, 0.75, 1.2]),
+    )
+    def test_matches_loop(self, t0, windows, tail):
+        # ids repeat after gaps of other ids and of -1 (never clustered),
+        # and a clamped tail can end before the window ahead of it
+        rows, start = [], t0 - 0.75
+        for strides, nudge, cid in windows:
+            start += 0.75 * strides + nudge
+            rows.append((start, start + 1.5, 0.5, True, cid))
+        if rows and tail is not None:
+            start, _, *rest = rows[-1]
+            rows[-1] = (start, start + tail, *rest)
+        decisions = decisions_of(rows)
+        got = [(s.start_s, s.end_s, s.label)
+               for s in _runs_to_segments(decisions)]
+        assert got == ref_runs_to_segments(decisions)
 
 
 class TestFilterSegments:
@@ -332,16 +372,16 @@ class TestRunPipeline:
         filt, seg = res["xvector_filt"], res["xvector_seg_filt"]
 
         def window(d):
-            return d.start_s, d.end_s, d.probability, d.label
+            return d.start_s, d.end_s, d.probability, d.speech
 
         assert [window(d) for d in filt] == [window(d) for d in seg]
-        assert {d.label for d in filt} == {"speech", "noise"}
+        assert filt.speech.any() and not filt.speech.all()
         for d in filt:
             assert (d.cluster == -1) == (d.probability < cut)
         assert all(d.cluster >= 0 for d in seg)
-        assert res["baseline"]
+        assert len(res["baseline"])
         for d in res["baseline"]:
-            assert d.label == ("speech" if d.probability >= cut else "noise")
+            assert d.speech == (d.probability >= cut)
             assert d.cluster >= 0
 
     def test_seg_filt_noise_proportion_bound(self, net, model, fixture_audio):
@@ -354,7 +394,7 @@ class TestRunPipeline:
             for k, seg in enumerate(res.segments):
                 if seg.start_s <= center < seg.end_s:
                     counts[k][0] += 1
-                    counts[k][1] += d.label == "noise"
+                    counts[k][1] += not d.speech
                     break
         for total, noise in counts:
             assert total > 0
@@ -385,8 +425,8 @@ class TestRunPipeline:
         cfg = PipelineConfig(strategy=strategy)
         res = run_pipeline(make_silence(10.0), cfg, model=model, net=net)
         assert res.segments == ()
-        assert res.xvectors == ()
-        assert res.decisions == ()
+        assert len(res.xvectors) == 0
+        assert len(res.decisions) == 0
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_output_invariants(self, net, model, fixture_audio, strategy):
@@ -456,7 +496,7 @@ class TestRunPipeline:
 
         def outputs(tag):
             res = run_pipeline(audio, cfg, model=model, net=net)
-            save_archive(list(res.xvectors), tmp_path / f"{tag}.xvec")
+            save_archive(res.xvectors, tmp_path / f"{tag}.xvec")
             write_decision_log(res.decisions, tmp_path / f"{tag}.log")
             return ((tmp_path / f"{tag}.xvec").read_bytes(),
                     (tmp_path / f"{tag}.log").read_bytes(), res.segments)
@@ -466,12 +506,10 @@ class TestRunPipeline:
 
         def embed_all_then_drop(net, streams, keep):
             for got in xvector.extract_streams(net, streams):
-                dropped.extend(
-                    v for v in got
-                    if not keep(v.window_start_s, v.window_end_s)
-                )
-                yield [v for v in got
-                       if keep(v.window_start_s, v.window_end_s)]
+                kept = np.array([keep(v.window_start_s, v.window_end_s)
+                                 for v in got], dtype=bool)
+                dropped.extend(got[~kept])
+                yield got[kept]
 
         monkeypatch.setattr(pipeline, "extract_streams", embed_all_then_drop)
         monkeypatch.setattr(
@@ -520,10 +558,10 @@ class TestPipelineConfig:
 
 class TestDecisionLog:
     def test_line_format(self, tmp_path):
-        recs = [
-            DecisionRecord(0.0, 1.5, 0.987654321, "speech", 0),
-            DecisionRecord(0.75, 2.25, 0.0123, "noise", -1),
-        ]
+        recs = decisions_of([
+            (0.0, 1.5, 0.987654321, True, 0),
+            (0.75, 2.25, 0.0123, False, -1),
+        ])
         path = tmp_path / "d.log"
         write_decision_log(recs, path)
         lines = path.read_text().splitlines()

@@ -23,8 +23,8 @@ from speechseg.segments import read_tsv
 from speechseg.xvector import (
     EMBEDDING_DIM,
     AffineLayer,
+    RECORD,
     StatsPool,
-    XVector,
     XVectorNet,
     load_archive,
     load_weights,
@@ -73,8 +73,8 @@ def valid_dir(tmp_path_factory):
     )
     save_weights(tiny_net(), d / "load_weights")
     save_archive(
-        [XVector(np.full(EMBEDDING_DIM, 0.25), 0.0, 1.5),
-         XVector(np.full(EMBEDDING_DIM, -0.5), 0.75, 2.25)],
+        np.array([(0.0, 1.5, np.full(EMBEDDING_DIM, 0.25)),
+                  (0.75, 2.25, np.full(EMBEDDING_DIM, -0.5))], RECORD),
         d / "load_archive",
     )
     save_model(

@@ -15,14 +15,16 @@ from speechseg.errors import (
     CorruptArchive,
     DimMismatch,
     EmptyInput,
+    InvalidConfig,
     NonFiniteWeight,
 )
 from speechseg.frontend import FeatureMatrix
 from speechseg.xvector import (
     BLOCK_FRAMES,
+    EMBEDDING_DIM,
+    RECORD,
     AffineLayer,
     StatsPool,
-    XVector,
     XVectorNet,
     extract_sequence,
     extract_streams,
@@ -348,8 +350,15 @@ class TestExtraction:
         assert spans[3][1] - spans[3][0] == pytest.approx(0.95)
 
     def test_too_short(self):
-        assert extract_sequence(make_test_net(preset="small"),
-                                feats_of(0.4)) == []
+        got = extract_sequence(make_test_net(preset="small"), feats_of(0.4))
+        assert isinstance(got, np.recarray) and got.dtype == RECORD
+        assert len(got) == 0
+
+    def test_non_finite_embedding_rejected(self):
+        feats = feats_of(3.0)
+        feats.rows[100, 3] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteWeight):
+            extract_sequence(make_test_net(preset="small"), feats)
 
     def test_values_match_forward_of_slice(self):
         # 2 s: one block; 20.3 s: three blocks, windows straddling block
@@ -528,11 +537,9 @@ class TestCarry:
         # the third stream's rows are tape rows [350, 530)
         assert passes == [BLOCK_FRAMES, 620 - BLOCK_FRAMES]
         for feats, vecs in zip(streams, got):
-            shifted = [
-                XVector(v.values, v.window_start_s - feats.start_time_s,
-                        v.window_end_s - feats.start_time_s)
-                for v in vecs
-            ]
+            shifted = vecs.copy()
+            shifted.window_start_s -= feats.start_time_s
+            shifted.window_end_s -= feats.start_time_s
             assert_matches_forward(net, feats, shifted)
         assert_same_vectors(got, per_stream(net, streams))
 
@@ -662,31 +669,34 @@ class TestStreams:
 # archive
 # -----------------------------------------------------------------------------
 
+def records(spans, rows):
+    """A RECORD recarray of (start_s, end_s) spans and their value rows."""
+    out = np.recarray(len(spans), RECORD)
+    out.window_start_s, out.window_end_s = np.reshape(spans, (-1, 2)).T
+    out.values = np.reshape(rows, (-1, EMBEDDING_DIM))
+    return out
+
+
 class TestArchive:
     def test_empty(self, tmp_path):
         path = tmp_path / "e.xvec"
-        save_archive([], path)
+        save_archive(records([], []), path)
         assert load_archive(path) == []
         assert len(path.read_bytes()) == 12  # magic, count, crc
 
     def test_single_zero_vector(self, tmp_path):
         path = tmp_path / "z.xvec"
-        vec = XVector(np.zeros(512, dtype=np.float32), 0.0, 1.5)
-        save_archive([vec], path)
+        save_archive(records([(0.0, 1.5)], np.zeros(512)), path)
         (back,) = load_archive(path)
-        assert np.array_equal(back.values, vec.values)
+        assert np.array_equal(back.values, np.zeros(512))
         assert (back.window_start_s, back.window_end_s) == (0.0, 1.5)
 
     def test_bulk_roundtrip_and_size(self, tmp_path):
         rng = np.random.default_rng(9)
-        vecs = [
-            XVector(
-                rng.standard_normal(512).astype(np.float32),
-                0.75 * i,
-                0.75 * i + 1.5,
-            )
-            for i in range(10_000)
-        ]
+        vecs = records(
+            [(0.75 * i, 0.75 * i + 1.5) for i in range(10_000)],
+            rng.standard_normal((10_000, 512)),
+        )
         path = tmp_path / "big.xvec"
         save_archive(vecs, path)
         assert path.stat().st_size == 8 + 10_000 * (16 + 512 * 4) + 4
@@ -703,13 +713,11 @@ class TestArchive:
         spans = [(0.1 * i, 0.1 * i + 1.5) for i in range(n)]
         rows = rng.standard_normal((n, 512)).astype(np.float32)
         path = tmp_path / "a.xvec"
-        save_archive(
-            [XVector(row, a, b) for row, (a, b) in zip(rows, spans)], path
-        )
+        save_archive(records(spans, rows), path)
         assert path.read_bytes() == ref_xvec_bytes(spans, rows.tolist())
         back = load_archive(path)
         assert [(v.window_start_s, v.window_end_s) for v in back] == spans
-        assert all(type(v.window_start_s) is float for v in back)
+        assert all(isinstance(v.window_start_s, float) for v in back)
         assert np.array_equal(
             np.reshape([v.values for v in back], (n, 512)), rows
         )
@@ -717,9 +725,7 @@ class TestArchive:
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "c.xvec"
-        save_archive(
-            [XVector(np.ones(512, dtype=np.float32), 0.0, 1.5)], path
-        )
+        save_archive(records([(0.0, 1.5)], np.ones(512)), path)
         raw = bytearray(path.read_bytes())
         raw[30] ^= 1
         path.write_bytes(bytes(raw))
@@ -728,9 +734,7 @@ class TestArchive:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.xvec"
-        save_archive(
-            [XVector(np.ones(512, dtype=np.float32), 0.0, 1.5)], path
-        )
+        save_archive(records([(0.0, 1.5)], np.ones(512)), path)
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(CorruptArchive):
             load_archive(path)
@@ -741,8 +745,19 @@ class TestArchive:
         with pytest.raises(BadMagic):
             load_archive(path)
 
-    def test_vector_validation(self):
-        with pytest.raises(DimMismatch):
-            XVector(np.zeros(100), 0.0, 1.5)
-        with pytest.raises(NonFiniteWeight):
-            XVector(np.full(512, np.inf), 0.0, 1.5)
+    @pytest.mark.parametrize("start,end,value,error", [
+        (0.0, 1.5, np.nan, NonFiniteWeight),
+        (0.0, 1.5, np.inf, NonFiniteWeight),
+        (1.5, 1.5, 0.0, InvalidConfig),  # end == start
+        (1.5, 0.75, 0.0, InvalidConfig),  # end < start
+    ])
+    def test_bad_record_rejected(self, tmp_path, start, end, value, error):
+        # the second of two records is bad, under a valid CRC
+        rows = np.zeros((2, 512), dtype=np.float32)
+        rows[1, 7] = value
+        path = tmp_path / "bad.xvec"
+        path.write_bytes(
+            ref_xvec_bytes([(0.0, 1.5), (start, end)], rows.tolist())
+        )
+        with pytest.raises(error, match="bad.xvec"):
+            load_archive(path)
