@@ -46,11 +46,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise InvalidConfig("C must be positive")
-        if self.folds < 2:
+        # each check is written so that a NaN fails it too
+        if not 0 < self.C < math.inf:
+            raise InvalidConfig("C must be positive and finite")
+        if not self.folds >= 2:
             raise InvalidConfig("calibration needs at least 2 folds")
-        if self.max_iter < 1 or self.tolerance <= 0:
+        if not (self.max_iter >= 1 and self.tolerance > 0):
             raise InvalidConfig("max_iter and tolerance must be positive")
 
 

@@ -24,19 +24,29 @@ recording: for PCM16 input that copy would be four times the file.
 MFCC and CMVN run in blocks of at most FRONTEND_BLOCK_FRAMES (512)
 frames, so beyond the samples and the T x D output their peak memory is
 the same for a clip and for an hour-long recording: at 16 kHz, about
-6 MB of block buffers for MFCC and 2 MB for CMVN (tracemalloc).
+6 MB of block buffers for MFCC and 1 MB for CMVN (tracemalloc).
 compute_mfcc decodes, pre-emphasizes, frames and transforms one block of
 samples at a time; a block's first pre-emphasized sample looks back at
-the sample before the block, as the whole-signal filter does. apply_cmvn
-streams its prefix sums: each block of rows continues the running sums
-from the first row its windows reach. The output is byte-identical to a
-whole-matrix pass, because every value goes through the same float64
-operations in the same order: frames are independent once
-pre-emphasized, and cumsum and the axis-0 sums add rows one after
-another. Blocks split the frames evenly, so no block has fewer
-than half a block of rows unless the whole input is that short: BLAS
-sums a matrix product of a few dozen rows with another kernel, whose
-last bits differ, and a short tail block would take it.
+the sample before the block, as the whole-signal filter does. Its
+buffers are allocated once per call, and every step but the FFT writes
+into them with out=: the decoded and the pre-emphasized samples, the
+windowed frames in a zero-padded nfft-wide buffer, the power spectrum,
+the mel energies and their log, and the cepstra straight into the
+output. A fresh temporary per step and block costs more than the
+arithmetic it holds: pre-emphasizing one 512-frame block took 0.82 ms
+with new arrays and 0.15 ms with the buffers (2 cores). rfft keeps its
+own output, since NumPy 2.4's rfft took 0.90 ms per block with out=
+against 0.65 ms without, and older NumPy has no out= there. apply_cmvn
+streams its prefix sums: each block keeps the running sums its windows
+share with the block before and adds the rows after them, so every
+running sum is computed once, and it normalizes in place. The output is
+byte-identical to a whole-matrix pass, because every value goes through
+the same float64 operations in the same order: frames are independent
+once pre-emphasized, and cumsum and the axis-0 sums add rows one after
+another. Blocks split the frames evenly, so no block has fewer than half
+a block of rows unless the whole input is that short: BLAS sums a matrix
+product of a few dozen rows with another kernel, whose last bits differ,
+and a short tail block would take it.
 
 CMVN recomputes the moments of a window whose variance is near zero with
 an exact two-pass sum over its 301 rows. In digital silence most such
@@ -116,14 +126,18 @@ class AudioBuffer:
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
 
-    def decoded(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def decoded(
+        self, start: int = 0, stop: int | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Samples [start, stop) as float64: int16 PCM converted and then
-        divided by 32768.0, float samples as a view that callers must not
-        write to."""
+        divided by 32768.0, into the front of out if given, float samples
+        as a view that callers must not write to."""
         x = self.samples[start:stop]
         if x.dtype == np.int16:
-            x = x.astype(np.float64)
-            x /= 32768.0
+            if out is not None:
+                out = out[: len(x)]
+            x = np.divide(x, 32768.0, out=out)
         return x
 
 
@@ -337,17 +351,20 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _pre_emphasized(audio: AudioBuffer, a: int, b: int) -> np.ndarray:
+def _pre_emphasized(
+    audio: AudioBuffer, a: int, b: int, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
     """Samples [a, b) of y[n] = x[n] - coef*x[n-1], y[0] = x[0]*(1 - coef),
-    with coef = PRE_EMPHASIS, decoding only samples [a - 1, b) of x."""
+    with coef = PRE_EMPHASIS, written into the buffer y; only samples
+    [a - 1, b) of x are decoded, into the buffer x."""
     coef = PRE_EMPHASIS
-    if a > 0:
-        x = audio.decoded(a - 1, b)
-        return x[1:] - coef * x[:-1]
-    x = audio.decoded(0, b)
-    y = np.empty(b)
-    y[0] = x[0] * (1.0 - coef)
-    y[1:] = x[1:] - coef * x[:-1]
+    first = int(a == 0)
+    x = audio.decoded(a - 1 + first, b, out=x)
+    y = y[: b - a]
+    if first:
+        y[0] = x[0] * (1.0 - coef)
+    np.multiply(x[:-1], coef, out=y[first:])
+    np.subtract(x[1:], y[first:], out=y[first:])
     return y
 
 
@@ -392,30 +409,27 @@ def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
 
     T = frame_count(n, frame_len, shift)
     ceps = np.empty((T, NUM_CEPS))
-    for f0, f1 in _blocks(T):
-        y = _pre_emphasized(audio, f0 * shift, (f1 - 1) * shift + frame_len)
-        frames = sliding_window_view(y, frame_len)[::shift] * window
-        spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
-        log_energies = np.log(np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR))
-        ceps[f0:f1] = log_energies @ dct.T
+    blocks = _blocks(T)
+    size = blocks[0][1]  # the first block is the longest
+    samples = (size - 1) * shift + frame_len
+    decoded, emphasized = np.empty(samples + 1), np.empty(samples)
+    padded = np.zeros((size, nfft))  # columns from frame_len on stay 0
+    power = np.empty((size, nfft // 2 + 1))
+    mel = np.empty((size, NUM_MEL_BINS))
+    for f0, f1 in blocks:
+        m = f1 - f0
+        y = _pre_emphasized(audio, f0 * shift, (f1 - 1) * shift + frame_len,
+                            decoded, emphasized)
+        np.multiply(sliding_window_view(y, frame_len)[::shift], window,
+                    out=padded[:m, :frame_len])
+        np.abs(np.fft.rfft(padded[:m], axis=1), out=power[:m])
+        np.square(power[:m], out=power[:m])
+        np.matmul(power[:m], fbank.T, out=mel[:m])
+        np.maximum(mel[:m], LOG_ENERGY_FLOOR, out=mel[:m])
+        np.log(mel[:m], out=mel[:m])
+        np.matmul(mel[:m], dct.T, out=ceps[f0:f1])
 
     return FeatureMatrix(ceps, FRAME_SHIFT_MS / 1000.0)
-
-
-def _prefix_sums(rows: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
-    """(n + 1) x D running sums of the rows, added in row order: row 0 is
-    carry (zeros when None), row k adds rows[k - 1] to row k - 1."""
-    out = np.empty((len(rows) + 1, rows.shape[1]))
-    if carry is None:
-        # the first sum is rows[0] itself, as in a cumsum over the whole
-        # matrix; 0.0 + rows[0] would turn a -0.0 into +0.0
-        out[0] = 0.0
-        np.cumsum(rows, axis=0, out=out[1:])
-    else:
-        out[0] = carry
-        out[1:] = rows
-        np.cumsum(out, axis=0, out=out)
-    return out
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -425,10 +439,11 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a == b) & (np.signbit(a) == np.signbit(b))).all(axis=-1)
 
 
-def _normalized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    out = x - mean
-    live = std > 1e-10
-    return np.where(live, out / np.where(live, std, 1.0), out)
+def _normalize(out: np.ndarray, x: np.ndarray, mean: np.ndarray,
+               std: np.ndarray) -> None:
+    """out = (x - mean) / std where std > 1e-10, else x - mean, in place."""
+    np.subtract(x, mean, out=out)
+    np.divide(out, std, out=out, where=std > 1e-10)
 
 
 def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
@@ -448,9 +463,9 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
     x = feats.rows
     T = len(x)
     half = window_frames // 2
-
+    out = np.empty_like(x)
     if T <= window_frames:
-        out = _normalized(x, x.mean(axis=0), x.std(axis=0))
+        _normalize(out, x, x.mean(axis=0), x.std(axis=0))
     else:
         # prefix sums over globally centered data give O(T*D) windowed
         # moments; centering keeps the E[z^2]-E[z]^2 cancellation small
@@ -460,29 +475,40 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
         for b0, b1 in blocks:
             z = x[b0:b1] - center
             z *= z
-            sq = _prefix_sums(z, sq)[-1]
+            if sq is not None:  # the sum so far goes first, then the rows
+                z[0] += sq
+            sq = np.add.reduce(z, axis=0)
         # the same row-order sum as (z * z).mean(axis=0)
         guard = np.maximum(1e-5 * (sq / T), 1e-20)
 
-        out = np.empty_like(x)
-        p0 = 0
-        s1 = s2 = None
+        # s1, s2 row i: the running sums of z and z * z over rows [0, p0 + i)
+        # (row 0 is 0.0, and row 1 the first row itself, as in a cumsum), for
+        # p0 + i up to p1; each block keeps the rows its windows reach and
+        # adds the rest, so every running sum is computed once
+        s1 = np.empty((blocks[0][1] + window_frames + 1, x.shape[1]))
+        s2 = np.empty_like(s1)
+        s1[0] = s2[0] = 0.0
+        p0 = p1 = 0
         last, last_flat = -1, False  # chunk start of the last recompute
         for b0, b1 in blocks:
             lo = np.maximum(
                 0, np.minimum(np.arange(b0, b1) - half, T - window_frames)
             )
             # running sums from row lo[0], where the block's first window
-            # starts, to the end of its last window; the previous block's
-            # sums already reach lo[0]
+            # starts, to the end of its last window
             start, stop = lo[0], lo[-1] + window_frames
-            c1 = s1[start - p0] if start else None
-            c2 = s2[start - p0] if start else None
-            p0 = start
-            z = x[start:stop] - center
-            s1 = _prefix_sums(z, c1)
-            z *= z
-            s2 = _prefix_sums(z, c2)
+            keep = p1 - start + 1  # running sums kept, to row p1
+            s1[:keep] = s1[start - p0 : p1 - p0 + 1]
+            s2[:keep] = s2[start - p0 : p1 - p0 + 1]
+            new = slice(keep, keep + stop - p1)
+            # the first sum is the first row itself, as in a cumsum over the
+            # whole matrix; 0.0 + z[0] would turn a -0.0 into +0.0
+            grow = slice(keep - (p1 > 0), new.stop)
+            z = np.subtract(x[p1:stop], center, out=s1[new])
+            np.multiply(z, z, out=s2[new])
+            np.cumsum(s1[grow], axis=0, out=s1[grow])
+            np.cumsum(s2[grow], axis=0, out=s2[grow])
+            p0, p1 = start, stop
 
             at, to = lo - start, lo - start + window_frames
             mz = (s1[to] - s1[at]) / window_frames
@@ -509,7 +535,7 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
                     m, v = chunk.mean(axis=0), chunk.var(axis=0)
                 mean[t], var[t] = m, v
                 last, last_flat = a, flat
-            out[b0:b1] = _normalized(x[b0:b1], mean, np.sqrt(var))
+            _normalize(out[b0:b1], x[b0:b1], mean, np.sqrt(var, out=var))
 
     constant = x.max(axis=0) == x.min(axis=0)
     out[:, constant] = 0.0

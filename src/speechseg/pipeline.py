@@ -79,15 +79,16 @@ class PipelineConfig:
             raise InvalidConfig(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
+        # each check is written so that a NaN fails it too
         if not 0.0 <= self.noise_proportion_threshold <= 1.0:
             raise InvalidConfig("noise_proportion_threshold must lie in [0, 1]")
-        if self.cluster_distance_threshold < 0.0:
+        if not self.cluster_distance_threshold >= 0.0:
             raise InvalidConfig("cluster_distance_threshold must be >= 0")
         if self.baseline_aggressiveness not in (0, 1, 2, 3):
             raise InvalidConfig("baseline_aggressiveness must be 0..3")
-        if self.median_width < 1 or self.median_width % 2 == 0:
+        if not (self.median_width >= 1 and self.median_width % 2 == 1):
             raise InvalidConfig("median_width must be odd and positive")
-        if self.merge_gap_s < 0.0:
+        if not self.merge_gap_s >= 0.0:
             raise InvalidConfig("merge_gap_s must be nonnegative")
 
 

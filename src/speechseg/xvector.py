@@ -2,10 +2,11 @@
 
 The network is the standard x-vector TDNN: five time-delay frame layers
 (affine over a small set of temporal context offsets, then ReLU, then
-batch normalization in inference mode), statistics pooling (per-dimension
-mean and population standard deviation over time), and two segment-level
-affine layers. The 512-dim embedding is the output of the first segment
-affine, taken before its activation.
+batch normalization in inference mode, folded into the next affine as
+set out below), statistics pooling (per-dimension mean and population
+standard deviation over time), and two segment-level affine layers.
+The 512-dim embedding is the output of the first segment affine, taken
+before its activation.
 
 Frame layers use valid convolution: each layer shrinks the frame axis by
 (max offset - min offset). Inputs shorter than the net's receptive field
@@ -28,24 +29,38 @@ delay neural network architecture for efficient modeling of long
 temporal contexts"). Memory stays flat however long the stream. Short
 streams (manifest clips, baseline VAD regions) share chunks; a window
 that straddles two chunks pools the last frame layer's output it kept
-from the one before. After each chunk, the windows it finished take the
-first segment affine as one matrix product. A window the caller's keep
+from the one before. The windows a chunk finishes stats-pool their rows
+into a batch, and every TAP_BATCH of them take the tap (the first
+segment affine) as one matrix product. A window the caller's keep
 predicate rejects is left out of the tape, so its rows never reach the
 frame layers unless a kept window needs them.
 
-How windows fall into chunks does not change an embedding in any case
-measured, but that rests on the float32 cast, not on equal float64 bits.
-BLAS picks its summation kernel by the shape of a product: a row of a
-wide frame layer can get other last bits in a chunk than in a per-window
-pass, and the tap's matrix product other last bits than one window's
-vector product. On a 60 s stream of 79 windows, every float64 embedding
-of the small net and of the standard net differed from forward_window's
-in the last bits (with a per-window tap, none of the small net's and 69
-of the standard net's with two BLAS threads, 41 with one); every float32
-embedding was equal. What is checked bit for bit: every small-net window
-against a per-window pass and packed against one stream at a time, a few
-standard-net streams and chunk edges against both (tests/test_xvector.py),
-and the artifacts of the benchmark's four workloads.
+Batch norm is folded into the affine after it, as is usual for
+inference (Jacob et al. 2018, "Quantization and training of neural
+networks for efficient integer-arithmetic-only inference"): a frame
+layer is one product, then bias and ReLU, and the next frame layer, or
+the tap after pooling, divides its weight columns by the batch-norm
+scale and takes the shift into its bias (_Folded). The fold costs
+nothing per chunk: the scale is applied in the one pass that casts each
+weight to float64, and the folded biases are computed once per net.
+
+Neither the fold nor how windows fall into chunks and tap batches
+changes an embedding in any case measured, but that rests on the
+float32 cast, not on equal float64 bits. The fold rounds differently
+from (r - mean) / std, and BLAS picks its summation kernel by the shape
+of a product: a row of a wide frame layer can get other last bits in a
+chunk than in a per-window pass, and a batch of windows at the tap other
+last bits than one window's product. On a 60 s stream of 79 windows,
+every float64 embedding of the small net and of the standard net
+differed from forward_window's in the last bits, with one BLAS thread or
+two; every float32 embedding was equal. What is checked bit for bit:
+every small-net window against a per-window pass and packed against one
+stream at a time, a few standard-net streams and chunk edges against
+both, a standard-net stream over three tap batches against the
+per-window pass (tests/test_xvector.py), and the artifacts of the
+benchmark's four workloads. The tests also hold embeddings within
+tolerance of the unfolded oracle: every window of that stream, and some
+windows of the others.
 
 Weights live as float32; arithmetic runs in float64. load_weights returns
 them as read-only views of the file's bytes, which it reads once.
@@ -60,8 +75,9 @@ import struct
 import zlib
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +102,16 @@ BN_EPSILON = 1e-5
 # 75.7 MB for the 750-row blocks that recomputed the overlap; the baseline
 # strategy on the same audio, at 77.3 MB with 500 rows and 80.2 MB with 600
 BLOCK_FRAMES = 500
+# finished windows per tap product in extract_streams. Each product casts
+# the tap's weights to float64 again (512 x 3,000 on the standard net), and
+# a stream waits for the batch that holds its last window. Picked by
+# measurement (2 cores, OpenBLAS, the benchmark's seed-7 inputs):
+# extracting the 1,200 s recording with the small net took 0.55-0.59 s
+# with 8 windows, 0.47-0.55 s with 16 and 0.44-0.50 s with 32, 64 or 128
+# (medians of 7 and 9); segmenting 4 x 60 s with the standard net peaked
+# at 76.9 MB RSS with 16, 77.0 MB with 32, 78.1 MB with 64 and 79.5 MB
+# with 128, against 76.3 MB with one tap product per chunk
+TAP_BATCH = 32
 
 # the sliding window grid, in seconds: a window of WINDOW_S every
 # STRIDE_S, and a tail window clamped to the stream end if at least
@@ -141,12 +167,86 @@ class StatsPool:
         return isinstance(other, StatsPool)
 
 
+class _Folded(NamedTuple):
+    """An affine layer that acts on the ReLU output of the frame layer
+    before it, with that layer's batch norm folded in (_fold)."""
+
+    layer: AffineLayer
+    span: int
+    scale: np.ndarray | None  # per weight column, float64
+    bias: np.ndarray  # float64
+
+    def weights(self) -> np.ndarray:
+        """weight.T in float64 with the fold applied: one pass over the
+        float32 weights, made again on every call, so no float64 copy of
+        a weight matrix outlives the product it is made for."""
+        if self.scale is None:
+            return self.layer.weight.astype(np.float64).T
+        return np.divide(self.layer.weight, self.scale).T
+
+
+def _matvec(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """float32 w @ float64 v, 64 rows at a time, so that loading a net
+    makes no float64 copy of a whole weight matrix."""
+    return np.concatenate([w[i : i + 64] @ v for i in range(0, len(w), 64)])
+
+
+def _fold(frame: tuple, tap: AffineLayer) -> tuple:
+    """_Folded frame layers, then the folded tap. A frame layer's batch
+    norm, (r - m) / s with s = sqrt(bn_var + BN_EPSILON), feeds the next
+    frame layer at every offset, so that layer's weight columns divide by
+    s repeated once per offset, and its bias loses W @ (m / s) tiled the
+    same way. The first frame layer has no scale. The tap reads the pooled
+    mean and std of the last frame layer, (mean(r) - m) / s and
+    std(r) / s: both halves of its columns divide by s, and only the mean
+    half takes the shift."""
+    folded, before = [], None
+    for layer in (*frame, tap):
+        bias = layer.bias.astype(np.float64)
+        scale = None
+        if before is not None:
+            s = np.sqrt(before.bn_var.astype(np.float64) + BN_EPSILON)
+            shift = before.bn_mean / s
+            if layer is tap:
+                scale = np.concatenate([s, s])
+                bias -= _matvec(layer.weight[:, : len(s)], shift)
+            else:
+                reps = len(layer.offsets)
+                scale = np.tile(s, reps)
+                bias -= _matvec(layer.weight, np.tile(shift, reps))
+        folded.append(_Folded(layer, layer.span, scale, bias))
+        before = layer
+    return tuple(folded)
+
+
 @dataclass(frozen=True)
 class XVectorNet:
+    """The layers, and what inference reads from them on every chunk,
+    computed once: the frame and segment layers, the total context, and
+    the layers with batch norm folded in (folded_frames, folded_tap)."""
+
     layers: tuple
+    frame_layers: tuple = field(init=False, repr=False, compare=False)
+    segment_layers: tuple = field(init=False, repr=False, compare=False)
+    # frames of valid-convolution shrink across all frame layers
+    total_context: int = field(init=False, repr=False, compare=False)
+    folded_frames: tuple = field(init=False, repr=False, compare=False)
+    folded_tap: _Folded = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
+        affine = [l for l in self.layers if isinstance(l, AffineLayer)]
+        frame = tuple(l for l in affine if l.kind == "frame")
+        segment = tuple(l for l in affine if l.kind == "segment")
+        *folded_frames, folded_tap = _fold(frame, segment[0])
+        for name, value in (
+            ("frame_layers", frame),
+            ("segment_layers", segment),
+            ("total_context", sum(l.span for l in frame)),
+            ("folded_frames", tuple(folded_frames)),
+            ("folded_tap", folded_tap),
+        ):
+            object.__setattr__(self, name, value)
 
     def _validate(self) -> None:
         layers = self.layers
@@ -190,31 +290,12 @@ class XVectorNet:
             cur = layer.out_dim
 
     @property
-    def frame_layers(self) -> list[AffineLayer]:
-        return [
-            l for l in self.layers
-            if isinstance(l, AffineLayer) and l.kind == "frame"
-        ]
-
-    @property
-    def segment_layers(self) -> list[AffineLayer]:
-        return [
-            l for l in self.layers
-            if isinstance(l, AffineLayer) and l.kind == "segment"
-        ]
-
-    @property
     def input_dim(self) -> int:
         return self.layers[0].in_dim
 
     @property
     def embedding_dim(self) -> int:
         return self.segment_layers[0].out_dim
-
-    @property
-    def total_context(self) -> int:
-        """Frames of valid-convolution shrink across all frame layers."""
-        return sum(l.span for l in self.frame_layers)
 
     @property
     def min_frames(self) -> int:
@@ -255,7 +336,9 @@ def _pad_to(x: np.ndarray, need: int) -> np.ndarray:
 def _frame_layers(
     net: XVectorNet, x: np.ndarray, carry: list | None = None
 ) -> np.ndarray:
-    """Frame-layer outputs for float64 rows x.
+    """Frame-layer ReLU outputs for float64 rows x, batch norm left to
+    the layer after: each layer is one product with its folded weights,
+    then bias and ReLU in place, two passes over its output.
 
     Without carry, x is a whole input of at least min_frames rows, and
     output row t depends only on input rows t .. t + total_context. With
@@ -264,17 +347,16 @@ def _frame_layers(
     start) and is updated in place, so the output continues theirs and no
     row is computed twice.
 
-    Each layer's weights are converted to float64 once per call, and the
-    elementwise steps run in place on the layer output. A layer's input is
-    dropped once its stacked copy exists; a single-offset layer multiplies
-    its input as it is.
+    A layer's input is dropped once its stacked copy exists; a
+    single-offset layer multiplies its input as it is.
     """
-    for k, layer in enumerate(net.frame_layers):
+    for k, fold in enumerate(net.folded_frames):
+        layer, span = fold.layer, fold.span
         if carry is not None:
             if len(carry[k]):
                 x = np.concatenate([carry[k], x])
-            carry[k] = x[max(len(x) - layer.span, 0):].copy()
-        t_out = len(x) - layer.span
+            carry[k] = x[max(len(x) - span, 0):].copy()
+        t_out = len(x) - span
         if t_out <= 0:  # a chunk too short to reach this layer's output
             x = np.empty((0, layer.out_dim))
             continue
@@ -287,13 +369,20 @@ def _frame_layers(
                 axis=1,
             )
         del x  # not alive while the layer's product is allocated
-        x = stacked @ layer.weight.T.astype(np.float64)
+        x = stacked @ fold.weights()
         del stacked  # not alive while the next layer stacks its input
-        x += layer.bias
+        x += fold.bias
         np.maximum(x, 0.0, out=x)
-        x -= layer.bn_mean
-        x /= np.sqrt(layer.bn_var.astype(np.float64) + BN_EPSILON)
     return x
+
+
+def _tap(net: XVectorNet, pooled: np.ndarray) -> np.ndarray:
+    """Embeddings of the rows of pooled (the stats-pooled ReLU outputs of
+    the last frame layer, one row per window): the first segment affine,
+    with the last batch norm folded in, as one product."""
+    out = pooled @ net.folded_tap.weights()
+    out += net.folded_tap.bias
+    return out
 
 
 def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
@@ -306,8 +395,7 @@ def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
             f"net expects {net.input_dim}-dim frames, got {x.shape[1]}"
         )
     pooled = stats_pool(_frame_layers(net, _pad_to(x, net.min_frames)))
-    tap = net.segment_layers[0]
-    return pooled @ tap.weight.T.astype(np.float64) + tap.bias
+    return _tap(net, pooled[None])[0]
 
 
 def _window_grid(feats: FeatureMatrix):
@@ -342,14 +430,16 @@ def _window_grid(feats: FeatureMatrix):
 class _Tape:
     """The frame layers over a tape of feature rows, fed in chunks.
 
-    add appends rows, by reference, and windows holds (values, k, a, b)
-    for each window on the tape rows [a, b). feed(final) runs every full
-    chunk of BLOCK_FRAMES new rows through _frame_layers with the carried
-    context, and with final the last short one too. After each chunk, the
-    windows whose rows are all fed stats-pool their rows of the last frame
-    layer's output, then take the tap as one product, and each stores its
-    embedding in row k of its stream's float32 matrix values. The output
-    rows of a window not yet finished are kept as the tail.
+    add appends rows, by reference, and window lists a window on the tape
+    rows [a, b) whose embedding goes to row k of values, its stream's
+    float32 matrix. feed(final) runs every full chunk of BLOCK_FRAMES new
+    rows through _frame_layers with the carried context, and with final
+    the last short one too. After each chunk, the windows whose rows are
+    all fed stats-pool their rows of the last frame layer's output into
+    the tap batch, and every TAP_BATCH pooled rows take the tap as one
+    product (flush); final taps what is left. tapped counts the windows
+    tapped, in tape order. The output rows of a window not yet finished
+    are kept as the tail.
     """
 
     def __init__(self, net: XVectorNet):
@@ -360,17 +450,27 @@ class _Tape:
         self.size = 0  # rows added
         self.fed = 0  # rows fed
         self.windows = deque()  # (values, k, a, b), in tape order
+        self.listed = 0  # windows listed
         self.tail = None  # output rows [tail_at, fed - context)
         self.tail_at = 0
+        self.batch = np.empty((TAP_BATCH, 2 * net.frame_layers[-1].out_dim))
+        self.dest = []  # (values, k) of each batch row in use
+        self.tapped = 0
 
     def add(self, rows: np.ndarray) -> None:
         self.parts.append(rows)
         self.queued += len(rows)
         self.size += len(rows)
 
+    def window(self, values: np.ndarray, k: int, a: int, b: int) -> None:
+        self.windows.append((values, k, a, b))
+        self.listed += 1
+
     def feed(self, final: bool = False) -> None:
         while self.queued >= BLOCK_FRAMES or (final and self.queued):
             self._chunk(min(self.queued, BLOCK_FRAMES))
+        if final:
+            self.flush()
 
     def _chunk(self, n: int) -> None:
         take = []
@@ -413,12 +513,21 @@ class _Tape:
         else:
             self.tail = None
         del y  # not alive during the tap product
-        if pooled:
-            tap = self.net.segment_layers[0]
-            out = np.stack(pooled) @ tap.weight.T.astype(np.float64)
-            out += tap.bias
-            for (values, k, _, _), v in zip(done, out):
+        for (values, k, _, _), row in zip(done, pooled):
+            self.batch[len(self.dest)] = row
+            self.dest.append((values, k))
+            if len(self.dest) == TAP_BATCH:
+                self.flush()
+
+    def flush(self) -> None:
+        """The tap on the pooled rows of the batch."""
+        n = len(self.dest)
+        if n:
+            out = _tap(self.net, self.batch[:n])
+            for (values, k), v in zip(self.dest, out):
                 values[k] = v  # cast to the record's float32
+            self.dest.clear()
+            self.tapped += n
 
 
 def extract_streams(
@@ -438,15 +547,17 @@ def extract_streams(
     The kept windows' feature rows, each row once, concatenated in stream
     order, form the tape that _Tape runs through the frame layers. A
     window pools only its own rows; output rows whose receptive field
-    straddles two runs of the tape are computed but never read. Windows
+    straddles two runs of the tape are computed but never read. A stream
+    is embedded once the tap batch holding its last window is tapped, so
+    the input is read at most about TAP_BATCH windows ahead. Windows
     shorter than the receptive field go through forward_window's padded
     path.
     """
     tape = _Tape(net)
-    pending = deque()  # (records, tape rows fed when they are done)
+    pending = deque()  # (records, windows listed on the tape when done)
 
     def finished():
-        while pending and pending[0][1] <= tape.fed:
+        while pending and pending[0][1] <= tape.tapped:
             records = pending.popleft()[0]
             if not np.isfinite(records.values).all():
                 raise NonFiniteWeight("x-vector contains non-finite values")
@@ -482,10 +593,10 @@ def extract_streams(
                     tape.add(feats.rows[run[0] : run[1]])
                 run, base = [a, b], tape.size - a
             run[1] = b
-            tape.windows.append((values, j, base + a, base + b))
+            tape.window(values, j, base + a, base + b)
         if run:  # a run goes onto the tape as one view of the stream's rows
             tape.add(feats.rows[run[0] : run[1]])
-        pending.append((records, tape.size))
+        pending.append((records, tape.listed))
         tape.feed()
         yield from finished()
     tape.feed(final=True)

@@ -80,6 +80,21 @@ class TestL1Normalize:
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"C": 0.0}, {"C": -1.0}, {"C": float("nan")}, {"C": float("inf")},
+            {"tolerance": 0.0}, {"tolerance": float("nan")},
+            {"max_iter": 0}, {"folds": 1},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        # C = nan would run every epoch and then raise NonConvergence
+        with pytest.raises(InvalidConfig):
+            TrainConfig(**kwargs)
+
+
 class TestSvmTraining:
     def test_separable_blobs_holdout(self):
         x, labels = blob_dataset()

@@ -529,6 +529,9 @@ class TestRunPipeline:
 
 
 
+NAN = float("nan")
+
+
 class TestPipelineConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -541,6 +544,10 @@ class TestPipelineConfig:
             {"strategy": "baseline", "median_width": 4},
             {"strategy": "baseline", "median_width": -3},
             {"strategy": "baseline", "merge_gap_s": -0.5},
+            # a NaN cut would put every window into one cluster
+            {"strategy": "baseline", "noise_proportion_threshold": NAN},
+            {"strategy": "baseline", "cluster_distance_threshold": NAN},
+            {"strategy": "baseline", "merge_gap_s": NAN},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -3,6 +3,7 @@ import struct
 import tracemalloc
 import zlib
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from speechseg.xvector import (
     BLOCK_FRAMES,
     EMBEDDING_DIM,
     RECORD,
+    TAP_BATCH,
     AffineLayer,
     StatsPool,
     XVectorNet,
@@ -170,6 +172,37 @@ class TestForward:
             got = forward_window(net, x)
             want = ref_forward_xvector(net_to_plain(net), x)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+
+    def test_folded_batch_norm_near_zero_variance(self):
+        # batch norm is folded into the next layer's weights and bias. A
+        # variance near 0 divides those columns by about sqrt(BN_EPSILON)
+        # and a large mean puts a large shift into the bias, which must
+        # cancel against the scaled product as the unfolded oracle's
+        # (r - mean) / std does, in the windowed and the streamed pass
+        rng = np.random.default_rng(11)
+        layers = []
+        for layer in tiny_net(seed=5, d_in=30).layers:
+            if isinstance(layer, AffineLayer) and layer.kind == "frame":
+                d = layer.out_dim
+                layer = replace(
+                    layer,
+                    bn_mean=rng.uniform(50.0, 200.0, d).astype(np.float32),
+                    bn_var=np.where(np.arange(d) % 2, 1e-9, 1e-3)
+                    .astype(np.float32),
+                )
+            layers.append(layer)
+        net = XVectorNet(tuple(layers))
+        plain = net_to_plain(net)
+        feats = feats_of(3.0)
+        for v in extract_sequence(net, feats):
+            a, b = window_rows(feats, v)
+            want = ref_forward_xvector(plain, feats.rows[a:b])
+            np.testing.assert_allclose(
+                forward_window(net, feats.rows[a:b]), want,
+                rtol=1e-5, atol=1e-8,
+            )
+            np.testing.assert_allclose(v.values, want, rtol=1e-5, atol=1e-8)
+        assert np.abs(want).max() > 1e4  # the scale reached the embedding
 
     def test_empty_and_mismatched_input(self):
         net = tiny_net()
@@ -412,18 +445,24 @@ class TestExtraction:
         assert passes == [BLOCK_FRAMES] * 4 + [2030 - 4 * BLOCK_FRAMES]
 
     def test_peak_memory_is_one_block(self):
-        # the float64 working set of the widest frame layer on a chunk of
-        # BLOCK_FRAMES rows and its carried context (stacked input,
-        # output, weights), and the last layer's output rows of one
-        # window kept for the next chunk; besides the embeddings it
+        # the larger of two working sets: the widest frame layer on a
+        # chunk of BLOCK_FRAMES rows and its carried context (stacked
+        # input, output, float64 weights), or the tap on a full batch
+        # (float64 weights and output). Alive through both: the last
+        # layer's output rows of one window kept for the next chunk, and
+        # the tap batch of pooled rows. Besides the embeddings it
         # returns, nothing grows with the stream
         net = make_test_net(seed=3)
-        block = 8 * max(
+        tap = net.segment_layers[0]
+        frame_layers = 8 * max(
             (BLOCK_FRAMES + l.span) * (l.weight.shape[1] + l.out_dim)
             + l.weight.size
             for l in net.frame_layers
         )
+        tap_product = 8 * (tap.weight.size + TAP_BATCH * tap.out_dim)
+        block = max(frame_layers, tap_product)
         block += 8 * 150 * net.frame_layers[-1].out_dim
+        block += 8 * TAP_BATCH * tap.in_dim
         above_output = []
         for seconds in (60.0, 300.0):
             _, kept, peak = traced(extract_sequence, net, feats_of(seconds))
@@ -573,6 +612,42 @@ class TestCarry:
         assert sum(passes) == 300 + 375
 
 
+class TestTapBatch:
+    """Windows take the tap in batches of TAP_BATCH."""
+
+    def test_standard_net_stream_over_three_batches(self, passes):
+        # 0.3 s windows every 0.2 s keep the oracle cheap: 83 windows on
+        # 16.52 s, of which keep rejects 11 in the middle, so the 72 kept
+        # ones fill two batches and start a third. Windows straddle the
+        # chunks, the rejected ones cut the tape in two runs, and the
+        # clamped tail of 0.12 s takes the padded path. Every float32
+        # record is forward_window's, and within the oracle's tolerance
+        net = make_test_net(seed=3)
+        plain = net_to_plain(net)
+        feats = feats_of(16.52, seed=8)
+
+        def keep(start_s, end_s):
+            return not 8.0 <= start_s < 10.2
+
+        with grid(0.3, 0.2, 0.1):
+            vecs = extract_sequence(net, feats, keep)
+        rows = [window_rows(feats, v) for v in vecs]
+        assert 3 * TAP_BATCH > len(vecs) == 72 > 2 * TAP_BATCH
+        assert rows[-1][1] - rows[-1][0] < net.min_frames  # padded tail
+        # the padded tail alone, then the tape: stream rows [0, 810) and
+        # [1020, 1650), so the rejected windows' own rows are never fed
+        assert passes == [net.min_frames, 500, 500, 810 + 1650 - 1020 - 1000]
+        context = net.total_context
+        ends = np.cumsum(passes) - context  # output rows after each chunk
+        assert any(
+            a < e < b - context for e in ends for a, b in rows if b <= 810
+        )
+        assert_matches_forward(net, feats, vecs)
+        for v, (a, b) in zip(vecs, rows):
+            want = ref_forward_xvector(plain, feats.rows[a:b])
+            np.testing.assert_allclose(v.values, want, rtol=1e-5, atol=1e-8)
+
+
 def per_stream(net, streams):
     """extract_sequence on each stream alone."""
     return [extract_sequence(net, feats) for feats in streams]
@@ -646,8 +721,10 @@ class TestStreams:
         assert passes == [500] * 7 + [50]
 
     def test_reads_lazily(self):
-        # the first result is out once the first chunk is full, long
-        # before the input ends
+        # the first result is out once the tap batch that holds its window
+        # is full: the 1.5 s clips are one 150-row window each, so that
+        # is the chunk that finishes the TAP_BATCH-th clip, long before
+        # the input ends
         pulled = []
 
         def streams():
@@ -656,8 +733,10 @@ class TestStreams:
                 yield feats_of(1.5, seed=k)
 
         out = extract_streams(make_test_net(preset="small"), streams())
-        next(out)
-        assert len(pulled) == BLOCK_FRAMES // 150 + 1
+        first = next(out)
+        chunks = -(-TAP_BATCH * 150 // BLOCK_FRAMES)
+        assert len(pulled) == chunks * BLOCK_FRAMES // 150 + 1 < 100
+        assert len(first) == 1
 
     def test_dim_mismatch(self):
         streams = [feats_of(1.5), feats_of(1.5, dim=20)]
