@@ -21,40 +21,78 @@ and AudioBuffer.decoded turns one span of them into float64 when a block
 reads it, so no front-end path holds a float64 copy of a whole
 recording: for PCM16 input that copy would be four times the file.
 
-MFCC and CMVN run in blocks of at most FRONTEND_BLOCK_FRAMES (512)
-frames, so beyond the samples and the T x D output their peak memory is
-the same for a clip and for an hour-long recording: at 16 kHz, about
-6 MB of block buffers for MFCC and 1 MB for CMVN (tracemalloc).
-compute_mfcc decodes, pre-emphasizes, frames and transforms one block of
+compute_mfcc splits the frames into blocks of MFCC_BLOCK_FRAMES (240)
+and the blocks into one contiguous range per CPU the process may use
+(os.sched_getaffinity), each range on a worker thread of a per-call
+ThreadPoolExecutor; an input of one block, which covers every 1.5 s
+clip, or a process on one CPU runs inline. NumPy's FFT, elementwise and
+BLAS calls release the GIL, so on 2 cores the MFCC of a 20-minute
+recording takes 0.21-0.24 s against 0.37-0.40 s before the workers. A
+worker decodes, pre-emphasizes, frames and transforms one block of
 samples at a time; a block's first pre-emphasized sample looks back at
-the sample before the block, as the whole-signal filter does. Its
-buffers are allocated once per call, and every step but the FFT writes
-into them with out=: the decoded and the pre-emphasized samples, the
-windowed frames in a zero-padded nfft-wide buffer, the power spectrum,
-the mel energies and their log, and the cepstra straight into the
-output. A fresh temporary per step and block costs more than the
-arithmetic it holds: pre-emphasizing one 512-frame block took 0.82 ms
-with new arrays and 0.15 ms with the buffers (2 cores). rfft keeps its
-own output, since NumPy 2.4's rfft took 0.90 ms per block with out=
-against 0.65 ms without, and older NumPy has no out= there. apply_cmvn
-streams its prefix sums: each block keeps the running sums its windows
-share with the block before and adds the rows after them, so every
-running sum is computed once, and it normalizes in place. The output is
-byte-identical to a whole-matrix pass, because every value goes through
-the same float64 operations in the same order: frames are independent
-once pre-emphasized, and cumsum and the axis-0 sums add rows one after
-another. Blocks split the frames evenly, so no block has fewer than half
-a block of rows unless the whole input is that short: BLAS sums a matrix
-product of a few dozen rows with another kernel, whose last bits differ,
-and a short tail block would take it.
+the sample before the block, as the whole-signal filter does, and every
+worker writes its rows straight into the one output matrix. The caller
+allocates every worker's buffers, and every step writes into them with
+out=: the decoded and the pre-emphasized samples, the windowed frames in
+a zero-padded nfft-wide buffer, the spectrum (rfft's out=, new in NumPy
+2.0), the power spectrum, the mel energies and their log, and the
+cepstra. A fresh temporary per step and block costs more than the
+arithmetic it holds (pre-emphasizing one 512-frame block took 0.82 ms
+with new arrays and 0.15 ms with buffers), and buffers made inside the
+workers land in glibc's per-thread arenas: they raised the peak RSS of
+three 4 x 60 s segment passes from 77.5 to 84.2 MB, where the caller's
+buffers read 77.5 MB against 76.8 MB before the workers. At 16 kHz one
+worker's buffers take about 3.2 MB, so two workers hold less than the
+one 512-frame set and the FFT output before them (tracemalloc: 6.1 MB
+beyond the output, against 6.3).
+
+The mel product (257 -> 40 at 16 kHz) and the DCT (40 -> 30) run in
+slices of 24 rows, so M*N*K stays at or under 4 * 65536, the size up to
+which OpenBLAS runs a gemm on the calling thread (interface/gemm.c).
+Whole-block products go to OpenBLAS's threads, whose helper busy-waits
+between a block's two small products: on one thread it burned 0.36 s of
+CPU beside a 0.37 s MFCC call of a 20-minute recording, and two workers
+on whole 240-row products took 0.46-0.53 s against 0.37-0.39 s on one (2
+cores, medians of 7 calls). With the slices no helper thread runs at all
+(per-thread CPU time), and two workers take 0.21 s. The whole slices of
+a block go to one stacked matmul, which calls BLAS once per slice
+without a Python call each. Two prototypes lost to the slices: workers
+computing spectra while the main thread alone ran the products
+(0.49-0.60 s where the slices took 0.31-0.41 s in the same probe), and
+mel energies without BLAS (gather plus reduceat: 1.33 ms per block
+against 0.17 ms). Slices change an MFCC's last bits against whole-block
+products, by up to 3e-16 relative, and they are why rows do not depend
+on block size or worker count: with scipy-openblas 0.3.31 a mel row has
+the same bits in any slice of 2 to 30 rows but not in a 1-row product (a
+gemv) or one of 31 rows or more, and a DCT row the same bits only in
+slices of a multiple of 4 rows up to 40. So slices start at multiples of
+24 from frame 0, every block but the last is a multiple of 24 rows, and
+a last slice or block of one row joins the one before it, so no product
+takes a single row unless T is 1. _mfcc_constants derives the slice
+height from the FFT size, so other rates keep under the size too.
+
+apply_cmvn runs in blocks of FRONTEND_BLOCK_FRAMES (512) rows on one
+thread, in about 1.2 MB beyond the output at 16 kHz. It streams its
+prefix sums: each block keeps the running sums its windows share with
+the block before and adds the rows after them, so every running sum is
+computed once, and it normalizes in place. The output is byte-identical
+to a whole-matrix pass, because every value goes through the same
+float64 operations in the same order: cumsum and the axis-0 sums add
+rows one after another. A two-thread CMVN prototype gave the same bytes
+but held the GIL too often to pay (0.15 -> 0.14 s).
 
 CMVN recomputes the moments of a window whose variance is near zero with
 an exact two-pass sum over its 301 rows. In digital silence most such
-windows hold one repeated row, bit for bit the rows of the window
-recomputed before, so they take its moments instead: one pass per block
-numbers the runs of bit-equal rows, and a window whose rows are one run
-of the row the last recomputed window repeated needs no sum. On a
-20-minute benchmark recording that skips 2,294 of 3,040 recomputes.
+windows hold one repeated row, bit for bit the rows of the flagged
+window before them, so they take its moments instead. Array operations
+per block decide which flagged windows do: those with the start of the
+flagged window before, and those whose rows are one run of bit-equal
+rows (one pass numbers the runs) with the row the window before
+repeated, the last flagged window carried across blocks. Only the first
+window of each such chain is recomputed, and the rest take its moments:
+on a 20-minute benchmark recording 746 of 3,040 flagged windows. The
+heads are summed one window at a time, over a view: gathering 4 windows
+per sum saved 3 ms per 20-minute pass but copied 0.5 MB more.
 
 The analysis settings are module constants: 25 ms frames every 10 ms,
 pre-emphasis 0.97, 40 mel bins from 20 Hz, 30 cepstra, and a 301-frame
@@ -67,7 +105,9 @@ a frame of 2 samples and a shift of 1 is rejected there.
 from __future__ import annotations
 
 import functools
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,7 +132,13 @@ LOW_FREQ_HZ = 20.0
 LOG_ENERGY_FLOOR = 1e-10
 CMVN_WINDOW_FRAMES = 301
 
-# frames per block of compute_mfcc and rows per block of apply_cmvn
+# frames per block of compute_mfcc, on each worker thread
+MFCC_BLOCK_FRAMES = 240
+# OpenBLAS runs a gemm whose M*N*K is at most SMP_THRESHOLD_MIN (65536)
+# times GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread alone
+# (interface/gemm.c)
+_SERIAL_GEMM_MNK = 4 * 65536
+# rows per block of apply_cmvn (and of the baseline's energy VAD)
 FRONTEND_BLOCK_FRAMES = 512
 
 
@@ -135,9 +181,13 @@ class AudioBuffer:
         as a view that callers must not write to."""
         x = self.samples[start:stop]
         if x.dtype == np.int16:
-            if out is not None:
-                out = out[: len(x)]
-            x = np.divide(x, 32768.0, out=out)
+            if out is None:
+                return np.divide(x, 32768.0)
+            # cast, then divide in place: one ufunc from int16 into out
+            # would allocate a 64 KB cast buffer on every call
+            out = out[: len(x)]
+            np.copyto(out, x)
+            x = np.divide(out, 32768.0, out=out)
         return x
 
 
@@ -344,11 +394,21 @@ def _hamming(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """[start, stop) spans of near-equal blocks of at most
-    FRONTEND_BLOCK_FRAMES that cover range(n)."""
-    size = -(-n // -(-n // FRONTEND_BLOCK_FRAMES))
-    return [(a, min(a + size, n)) for a in range(0, n, size)]
+def _spans(n: int, step: int) -> list[tuple[int, int]]:
+    """[start, stop) spans of step rows from row 0 that cover range(n); a
+    last span of one row joins the span before it, so no matrix product
+    takes a single row (BLAS would take it as a gemv) unless n is 1."""
+    cuts = [*range(0, n, step), n]
+    if len(cuts) > 2 and n - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pre_emphasized(
@@ -370,10 +430,12 @@ def _pre_emphasized(
 
 @functools.lru_cache(maxsize=16)
 def _mfcc_constants(sample_rate: int) -> tuple:
-    """(frame_len, shift, nfft, window, fbank, dct) for one sample rate,
-    built once; the arrays are read-only, since every caller shares them.
-    A rate whose frame is shorter than 2 samples (a 1-sample Hamming
-    window is 0/0) or whose shift rounds to 0 is rejected."""
+    """(frame_len, shift, nfft, slice_rows, window, fbank, dct) for one
+    sample rate, built once; the arrays are read-only, since every caller
+    shares them. slice_rows is the largest multiple of 4 (at least 2) whose
+    mel product, with one row more, stays at or under _SERIAL_GEMM_MNK: 24
+    at 16 kHz. A rate whose frame is shorter than 2 samples (a 1-sample
+    Hamming window is 0/0) or whose shift rounds to 0 is rejected."""
     frame_len = round(FRAME_LENGTH_MS * sample_rate / 1000.0)
     shift = round(FRAME_SHIFT_MS * sample_rate / 1000.0)
     if frame_len < 2 or shift < 1:
@@ -384,6 +446,8 @@ def _mfcc_constants(sample_rate: int) -> tuple:
     nfft = 1
     while nfft < frame_len:
         nfft *= 2
+    fit = _SERIAL_GEMM_MNK // (NUM_MEL_BINS * (nfft // 2 + 1)) - 1
+    slice_rows = max(fit // 4 * 4, 2)
     arrays = (
         _hamming(frame_len),
         mel_filterbank(
@@ -393,14 +457,69 @@ def _mfcc_constants(sample_rate: int) -> tuple:
     )
     for arr in arrays:
         arr.flags.writeable = False
-    return (frame_len, shift, nfft, *arrays)
+    return (frame_len, shift, nfft, slice_rows, *arrays)
+
+
+def _mfcc_buffers(rows: int, frame_len: int, shift: int, nfft: int) -> tuple:
+    """One worker's buffers for blocks of up to rows frames: decoded and
+    pre-emphasized samples, zero-padded frames, spectrum, power, mel."""
+    samples = (rows - 1) * shift + frame_len
+    return (
+        np.empty(samples + 1), np.empty(samples),
+        np.zeros((rows, nfft)),  # columns from frame_len on stay 0
+        np.empty((rows, nfft // 2 + 1), dtype=np.complex128),
+        np.empty((rows, nfft // 2 + 1)), np.empty((rows, NUM_MEL_BINS)),
+    )
+
+
+def _sliced_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                   rows: int) -> None:
+    """out = a @ b as products over the _spans(len(a), rows) row spans of
+    a: the spans of exactly rows rows as one stacked matmul, which runs
+    one BLAS product per span without a Python call each, then a last
+    span of another length. a and out are C-contiguous row slices."""
+    first, last = _spans(len(a), rows)[-1]
+    cut = last if last - first == rows else first
+    if cut:
+        np.matmul(a[:cut].reshape(-1, rows, a.shape[1]), b,
+                  out=out[:cut].reshape(-1, rows, out.shape[1]))
+    if cut < len(a):
+        np.matmul(a[cut:], b, out=out[cut:])
+
+
+def _mfcc_range(audio: AudioBuffer, blocks: list[tuple[int, int]],
+                buffers: tuple, ceps: np.ndarray) -> None:
+    """Write the MFCC rows of every block in blocks into ceps, through the
+    caller's buffers; the mel and DCT products run slice_rows rows at a
+    time, in slices that start at multiples of slice_rows from frame 0
+    (every block starts at one)."""
+    frame_len, shift, _, slice_rows, window, fbank, dct = _mfcc_constants(
+        audio.sample_rate
+    )
+    decoded, emphasized, padded, spectrum, power, mel = buffers
+    for f0, f1 in blocks:
+        m = f1 - f0
+        y = _pre_emphasized(audio, f0 * shift, (f1 - 1) * shift + frame_len,
+                            decoded, emphasized)
+        # np.multiply would pass these strided rows through 192 KB of
+        # iterator buffers per call, which two workers can hold at once;
+        # einsum writes each product straight into the output
+        np.einsum("ij,j->ij", sliding_window_view(y, frame_len)[::shift],
+                  window, out=padded[:m, :frame_len])
+        np.fft.rfft(padded[:m], axis=1, out=spectrum[:m])
+        np.abs(spectrum[:m], out=power[:m])
+        np.square(power[:m], out=power[:m])
+        _sliced_matmul(power[:m], fbank.T, mel[:m], slice_rows)
+        np.maximum(mel[:m], LOG_ENERGY_FLOOR, out=mel[:m])
+        np.log(mel[:m], out=mel[:m])
+        _sliced_matmul(mel[:m], dct.T, ceps[f0:f1], slice_rows)
 
 
 def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
     """MFCC rows for every frame of ``audio``, computed one block of
-    frames at a time; deterministic, and byte-identical to a single pass
-    over the whole signal."""
-    frame_len, shift, nfft, window, fbank, dct = _mfcc_constants(
+    frames at a time on one worker thread per CPU; deterministic, and
+    byte-identical for any block size and worker count."""
+    frame_len, shift, nfft, slice_rows, *_ = _mfcc_constants(
         audio.sample_rate
     )
     n = len(audio.samples)
@@ -409,26 +528,22 @@ def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
 
     T = frame_count(n, frame_len, shift)
     ceps = np.empty((T, NUM_CEPS))
-    blocks = _blocks(T)
-    size = blocks[0][1]  # the first block is the longest
-    samples = (size - 1) * shift + frame_len
-    decoded, emphasized = np.empty(samples + 1), np.empty(samples)
-    padded = np.zeros((size, nfft))  # columns from frame_len on stay 0
-    power = np.empty((size, nfft // 2 + 1))
-    mel = np.empty((size, NUM_MEL_BINS))
-    for f0, f1 in blocks:
-        m = f1 - f0
-        y = _pre_emphasized(audio, f0 * shift, (f1 - 1) * shift + frame_len,
-                            decoded, emphasized)
-        np.multiply(sliding_window_view(y, frame_len)[::shift], window,
-                    out=padded[:m, :frame_len])
-        np.abs(np.fft.rfft(padded[:m], axis=1), out=power[:m])
-        np.square(power[:m], out=power[:m])
-        np.matmul(power[:m], fbank.T, out=mel[:m])
-        np.maximum(mel[:m], LOG_ENERGY_FLOOR, out=mel[:m])
-        np.log(mel[:m], out=mel[:m])
-        np.matmul(mel[:m], dct.T, out=ceps[f0:f1])
-
+    # blocks of whole slices, so no slice depends on where blocks start
+    blocks = _spans(T, max(MFCC_BLOCK_FRAMES // slice_rows, 1) * slice_rows)
+    workers = min(_cpus(), len(blocks))
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    rows = max(b - a for a, b in blocks)
+    jobs = [
+        functools.partial(_mfcc_range, audio, blocks[a:b],
+                          _mfcc_buffers(rows, frame_len, shift, nfft), ceps)
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    if workers == 1:
+        jobs[0]()
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(job) for job in jobs]:
+                future.result()
     return FeatureMatrix(ceps, FRAME_SHIFT_MS / 1000.0)
 
 
@@ -437,6 +552,19 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     finite values: equal, and with the same sign, which tells -0.0 from
     0.0; NaN matches nothing)."""
     return ((a == b) & (np.signbit(a) == np.signbit(b))).all(axis=-1)
+
+
+def _window_moments(
+    x: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact two-pass mean and variance of the CMVN_WINDOW_FRAMES rows
+    from each start, one window (a view of x) at a time."""
+    mean = np.empty((len(starts), x.shape[1]))
+    var = np.empty_like(mean)
+    for i, a in enumerate(starts):
+        chunk = x[a : a + CMVN_WINDOW_FRAMES]
+        mean[i], var[i] = chunk.mean(axis=0), chunk.var(axis=0)
+    return mean, var
 
 
 def _normalize(out: np.ndarray, x: np.ndarray, mean: np.ndarray,
@@ -470,7 +598,7 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
         # prefix sums over globally centered data give O(T*D) windowed
         # moments; centering keeps the E[z^2]-E[z]^2 cancellation small
         center = x.mean(axis=0)
-        blocks = _blocks(T)
+        blocks = _spans(T, FRONTEND_BLOCK_FRAMES)
         sq = None
         for b0, b1 in blocks:
             z = x[b0:b1] - center
@@ -485,11 +613,15 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
         # (row 0 is 0.0, and row 1 the first row itself, as in a cumsum), for
         # p0 + i up to p1; each block keeps the rows its windows reach and
         # adds the rest, so every running sum is computed once
-        s1 = np.empty((blocks[0][1] + window_frames + 1, x.shape[1]))
+        longest = max(b - a for a, b in blocks)
+        s1 = np.empty((longest + window_frames + 1, x.shape[1]))
         s2 = np.empty_like(s1)
         s1[0] = s2[0] = 0.0
         p0 = p1 = 0
-        last, last_flat = -1, False  # chunk start of the last recompute
+        # the start, whether its rows are one run, and the moments of the
+        # last flagged window, carried from block to block
+        last, last_flat = -1, False
+        last_mean = last_var = np.zeros(x.shape[1])
         for b0, b1 in blocks:
             lo = np.maximum(
                 0, np.minimum(np.arange(b0, b1) - half, T - window_frames)
@@ -517,24 +649,35 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
 
             # windows whose variance sits near the rounding floor get an exact
             # two-pass recompute; cancellation there can fake a nonzero std.
-            # A window whose chunk has the bits of the last recomputed one
-            # (the same start, or both inside one run of a repeated row)
-            # takes its moments; run numbers the runs of bit-equal rows
+            # A flagged window whose chunk has the bits of the flagged window
+            # before it (the same start, or both inside one run of a
+            # repeated row) takes its moments, so only the first window of
+            # each such chain is recomputed; run numbers the runs of
+            # bit-equal rows
             flagged = np.nonzero((var < guard).any(axis=1))[0]
             if len(flagged):
                 rows = x[start:stop]
                 run = np.cumsum(np.concatenate(
                     ([False], ~_same_rows(rows[1:], rows[:-1]))
                 ))
-            for t in flagged:
-                a = lo[t]
-                flat = run[at[t]] == run[to[t] - 1]
-                if not (a == last or flat and last_flat
-                        and _same_rows(x[a], x[last])):
-                    chunk = x[a : a + window_frames]
-                    m, v = chunk.mean(axis=0), chunk.var(axis=0)
-                mean[t], var[t] = m, v
-                last, last_flat = a, flat
+                a = lo[flagged]
+                flat = run[at[flagged]] == run[to[flagged] - 1]
+                before = np.concatenate(([last], a[:-1]))
+                reuse = (a == before) | (
+                    flat & np.concatenate(([last_flat], flat[:-1]))
+                    & _same_rows(x[a], x[before])
+                )
+                # row 0 holds the moments carried from the block before;
+                # chain[i] is the row whose moments flagged window i takes
+                heads_mean, heads_var = _window_moments(x, a[~reuse])
+                moments_mean = np.concatenate((last_mean[None], heads_mean))
+                moments_var = np.concatenate((last_var[None], heads_var))
+                chain = np.cumsum(~reuse)
+                mean[flagged] = moments_mean[chain]
+                var[flagged] = moments_var[chain]
+                last, last_flat = a[-1], flat[-1]
+                last_mean = moments_mean[chain[-1]]
+                last_var = moments_var[chain[-1]]
             _normalize(out[b0:b1], x[b0:b1], mean, np.sqrt(var, out=var))
 
     constant = x.max(axis=0) == x.min(axis=0)

@@ -333,27 +333,49 @@ def never_same(a, b):
     return np.zeros(a.shape[:-1], dtype=bool)
 
 
+def count_recomputes(monkeypatch):
+    """A list that grows by the number of CMVN windows whose moments each
+    call of frontend._window_moments recomputes."""
+    moments = frontend._window_moments
+    counts = []
+
+    def spy(x, starts):
+        counts.append(len(starts))
+        return moments(x, starts)
+
+    monkeypatch.setattr(frontend, "_window_moments", spy)
+    return counts
+
+
+def cmvn_bytes(x):
+    return apply_cmvn(FeatureMatrix(x, 0.01)).rows.tobytes()
+
+
 class TestBlocks:
     def test_blocks_match_one_block_pass(self, monkeypatch):
         audio = speech_tone_silence(20.0, 15.0)
+        monkeypatch.setattr(frontend, "MFCC_BLOCK_FRAMES", 10**9)
         monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
         whole = compute_mfcc(audio)
         whole_cmvn = apply_cmvn(whole)
 
-        # 255-frame MFCC blocks keep every matrix product above the few
-        # dozen rows where BLAS sums with another kernel; CMVN has no
-        # matrix product and takes 7-row blocks, far below its window
-        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 255)
-        blocked = compute_mfcc(audio)
-        assert blocked.rows.tobytes() == whole.rows.tobytes()
+        # MFCC blocks of whole 24-row slices, on 1 to 3 worker threads:
+        # every row comes from the same products wherever blocks start;
+        # CMVN has no matrix product and takes 7-row blocks, far below
+        # its window
+        for block in (24, 48, 240, 264):
+            monkeypatch.setattr(frontend, "MFCC_BLOCK_FRAMES", block)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(frontend, "_cpus", lambda: workers)
+                blocked = compute_mfcc(audio)
+                assert blocked.rows.tobytes() == whole.rows.tobytes()
         assert apply_cmvn(whole).rows.tobytes() == whole_cmvn.rows.tobytes()
         monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 7)
         assert apply_cmvn(whole).rows.tobytes() == whole_cmvn.rows.tobytes()
 
         # the frames on either side of the first MFCC block boundary
         # against the per-frame oracle, run on the samples around them
-        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 255)
-        edge = frontend._blocks(blocked.num_frames)[1][0]
+        edge = 264
         first, last = edge - 2, edge + 2
         samples = audio.samples[(first - 1) * 160 : (last - 1) * 160 + 400]
         want = ref_mfcc(samples, 16000)[1:]
@@ -364,43 +386,102 @@ class TestBlocks:
             whole_cmvn.rows, ref_cmvn(whole.rows, 301), atol=1e-9
         )
 
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+    @pytest.mark.parametrize("frames", [2, 25, 49, 241, 2000])
+    def test_products_stay_under_the_blas_threading_size(
+        self, monkeypatch, rate, frames
+    ):
+        # OpenBLAS runs a gemm of M*N*K <= 4 * 65536 on the calling thread;
+        # a 1-row product would be a gemv. 25, 49 and 241 frames leave one
+        # row after the last whole 24-row slice or 240-row block. A stacked
+        # matmul runs one product per matrix of the stack
+        frame_len, shift, *_ = frontend._mfcc_constants(rate)
+        x = np.sin(np.arange((frames - 1) * shift + frame_len) * 0.1)
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append((a.shape[-2], b.shape[-1], a.shape[-1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        feats = compute_mfcc(AudioBuffer(x, rate))
+        assert feats.num_frames == frames
+        assert len(shapes) >= 2
+        for m, n, k in shapes:
+            assert 2 <= m and m * n * k <= 4 * 65536
+
+    @given(n=st.integers(1, 2000), step=st.integers(2, 300))
+    def test_spans_cover_without_single_rows(self, n, step):
+        spans = frontend._spans(n, step)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(a % step == 0 for a, _ in spans)
+        sizes = [b - a for a, b in spans]
+        assert all(size == step for size in sizes[:-1])
+        assert 1 < sizes[-1] <= step + 1 or n == 1
+
     def test_silence_reuses_window_moments_exactly(self, monkeypatch):
         # every window in the 5 s of digital silence is flagged; one whose
         # 301 rows are a single repeated row takes the moments of the
         # flagged window before it, which must be the bits a recompute
         # gives, in blocks or in one block, and within the oracle's reach
         feats = compute_mfcc(speech_tone_silence(20.0, 5.0))
-        same_rows = frontend._same_rows
-        reused = []
-
-        def spy(a, b):
-            same = same_rows(a, b)
-            if same.ndim == 0:  # a window's row against the last one's
-                reused.append(bool(same))
-            return same
-
-        monkeypatch.setattr(frontend, "_same_rows", spy)
+        recomputes = count_recomputes(monkeypatch)
         got = apply_cmvn(feats).rows
-        assert sum(reused) > 150
+        reusing = sum(recomputes)
+        recomputes.clear()
 
         monkeypatch.setattr(frontend, "_same_rows", never_same)
         assert apply_cmvn(feats).rows.tobytes() == got.tobytes()
-        monkeypatch.setattr(frontend, "_same_rows", same_rows)
+        assert sum(recomputes) - reusing > 150
+        monkeypatch.undo()
         monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
         assert apply_cmvn(feats).rows.tobytes() == got.tobytes()
         np.testing.assert_allclose(got, ref_cmvn(feats.rows, 301), atol=1e-9)
 
-    def test_reuse_needs_the_whole_window_in_one_run(self, monkeypatch):
+    def test_reuse_chain_crosses_block_boundaries(self, monkeypatch):
+        # rows 500-1199 repeat one row, far from the rows around them, so
+        # the windows of frames 650-1049 (starts 500-899) are the flagged
+        # ones: one chain across four 100-row block boundaries, one
+        # recompute, and the rest reuse it
+        x = np.random.default_rng(8).standard_normal((1500, 2))
+        x[500:1200] = 3.0, -3.0
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 100)
+        recomputes = count_recomputes(monkeypatch)
+        got = cmvn_bytes(x)
+        assert sum(recomputes) == 1
+        monkeypatch.setattr(frontend, "_same_rows", never_same)
+        assert cmvn_bytes(x) == got
+        assert sum(recomputes) == 1 + 400
+        monkeypatch.undo()
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
+        assert cmvn_bytes(x) == got
+        np.testing.assert_allclose(
+            np.frombuffer(got).reshape(x.shape), ref_cmvn(x, 301), atol=1e-9
+        )
+
+    @pytest.mark.parametrize("block", [50, 10**9])
+    def test_reuse_needs_the_whole_window_in_one_run(self, monkeypatch, block):
         # column 1 is constant from row 400 on, so every window there is
         # flagged; column 0 repeats one row over rows 400-799 only. A
         # window starting in that run but reaching past it has the run's
-        # first row, yet must not take the run's moments
+        # first row, yet must not take the run's moments. With 50-row
+        # blocks the first such window (frame 650, start 500) opens a block
         x = np.random.default_rng(6).standard_normal((1200, 2))
         x[400:800, 0], x[400:, 1] = 0.5, 1.0
-        got = apply_cmvn(FeatureMatrix(x, 0.01)).rows
+        monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", block)
+        assert (650, 700) in frontend._spans(1200, block) or block > 1200
+        recomputes = count_recomputes(monkeypatch)
+        got = cmvn_bytes(x)
+        # starts 400 (the run's head), then 500-899, one window each; the
+        # windows of frames 1050-1199 all start at 899
+        assert sum(recomputes) == 1 + 400
         monkeypatch.setattr(frontend, "_same_rows", never_same)
-        assert apply_cmvn(FeatureMatrix(x, 0.01)).rows.tobytes() == got.tobytes()
-        np.testing.assert_allclose(got, ref_cmvn(x, 301), atol=1e-9)
+        assert cmvn_bytes(x) == got
+        np.testing.assert_allclose(
+            np.frombuffer(got).reshape(x.shape), ref_cmvn(x, 301), atol=1e-9
+        )
 
     def test_rfft_sees_one_block_at_a_time(self, monkeypatch):
         audio = speech_tone_silence(10.0, 5.0)
@@ -413,11 +494,15 @@ class TestBlocks:
 
         monkeypatch.setattr(np.fft, "rfft", record)
         feats = compute_mfcc(audio)
-        assert feats.num_frames > 2 * frontend.FRONTEND_BLOCK_FRAMES
-        assert len(rows) == 4 and sum(rows) == feats.num_frames
-        assert max(rows) <= frontend.FRONTEND_BLOCK_FRAMES
+        block = frontend.MFCC_BLOCK_FRAMES
+        assert feats.num_frames > 2 * block
+        assert len(rows) == -(-feats.num_frames // block)
+        assert sum(rows) == feats.num_frames and max(rows) <= block
 
-    def test_peak_memory_does_not_grow_with_the_stream(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_does_not_grow_with_the_stream(self, monkeypatch,
+                                                       workers):
+        monkeypatch.setattr(frontend, "_cpus", lambda: workers)
         peaks = []
         for seconds in (60.0, 300.0):
             audio = speech_tone_silence(seconds - 10.0, 5.0)
@@ -427,15 +512,6 @@ class TestBlocks:
         (mfcc_60, cmvn_60), (mfcc_300, cmvn_300) = peaks
         assert abs(mfcc_300 - mfcc_60) < 2 * 2**20
         assert abs(cmvn_300 - cmvn_60) < 2 * 2**20
-
-    @given(n=st.integers(1, 40_000))
-    def test_blocks_split_evenly(self, n):
-        spans = frontend._blocks(n)
-        assert spans[0][0] == 0 and spans[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        sizes = [b - a for a, b in spans]
-        assert max(sizes) <= frontend.FRONTEND_BLOCK_FRAMES
-        assert min(sizes) >= min(n, frontend.FRONTEND_BLOCK_FRAMES // 2)
 
 
 # -----------------------------------------------------------------------------
