@@ -66,7 +66,7 @@ from .xvector import (
     ARCHIVE_MAGIC,
     EMBEDDING_DIM,
     WEIGHTS_VERSION,
-    extract_sequence,
+    extract_sequence,  # unused here; bench/tracing.py wraps it by name
     extract_streams,
     load_weights,
     make_test_net,
@@ -165,20 +165,15 @@ def _cmd_extract(cfg):
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = _gather_inputs(cfg)
-
-    def one(item):
-        file_id, path = item
-        vecs = extract_sequence(net, _features(path))
+    streams = extract_streams(net, (_features(path) for _, path in inputs))
+    files = []
+    for (file_id, path), vecs in zip(inputs, streams):
         out = out_dir / f"{file_id}.xvec"
         save_archive(vecs, out)
-        return {
-            "id": file_id,
-            "audio": path,
-            "out": str(out),
-            "windows": len(vecs),
-        }
-
-    files = _parallel(one, inputs, cfg["jobs"])
+        files.append(
+            {"id": file_id, "audio": path, "out": str(out),
+             "windows": len(vecs)}
+        )
     return {
         "net": cfg["net"],
         "out_dir": str(out_dir),
@@ -352,7 +347,8 @@ def _cmd_realign(cfg):
     words_by_file = read_ctm(cfg["ctm"])
     for file_id in words_by_file:
         # the id names an output file, which must land inside --out
-        if Path(file_id).name != file_id or file_id in (".", ".."):
+        if (Path(file_id).name != file_id or file_id in (".", "..")
+                or "\0" in file_id):
             raise InvalidConfig(f"CTM file id {file_id!r} is not a file name")
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -483,7 +479,6 @@ COMMANDS = {
             Opt("out", str, help="output directory", required=True),
             Opt("audio", str, help="single input WAV"),
             Opt("manifest", str, help="batch input manifest TSV"),
-            Opt("jobs", int, 1, "parallel workers for batch input"),
         ],
         _cmd_extract,
     ),
@@ -681,6 +676,8 @@ def _typed(o: Opt, value):
     if o.typ is float and type(value) is int:
         return float(value)
     if isinstance(value, o.typ) and (o.typ is bool) == (type(value) is bool):
+        if o.typ is str and "\0" in value:  # no file name holds one
+            raise UsageError(f"config key {o.key!r} holds a NUL character")
         return value
     raise UsageError(
         f"config key {o.key!r} must be {o.typ.__name__}, "

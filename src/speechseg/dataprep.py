@@ -50,6 +50,8 @@ class ManifestEntry:
     source_id: str
 
     def __post_init__(self):
+        if "\0" in self.path:
+            raise InvalidConfig(f"path {self.path!r} holds a NUL character")
         if self.label not in ("speech", "noise"):
             raise InvalidConfig(f"label must be speech or noise, got {self.label!r}")
 

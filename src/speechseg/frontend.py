@@ -519,12 +519,13 @@ def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
     """MFCC rows for every frame of ``audio``, computed one block of
     frames at a time on one worker thread per CPU; deterministic, and
     byte-identical for any block size and worker count."""
-    frame_len, shift, nfft, slice_rows, *_ = _mfcc_constants(
-        audio.sample_rate
-    )
     n = len(audio.samples)
+    # checked before the constants, which grow with the rate a header
+    # claims: a few samples at 4 GHz would build a 21 GB mel filterbank
+    frame_len = round(FRAME_LENGTH_MS * audio.sample_rate / 1000.0)
     if n < frame_len:
         raise AudioTooShort(f"{n} samples < one frame of {frame_len}")
+    _, shift, nfft, slice_rows, *_ = _mfcc_constants(audio.sample_rate)
 
     T = frame_count(n, frame_len, shift)
     ceps = np.empty((T, NUM_CEPS))

@@ -57,6 +57,18 @@ def _frame_total(duration_s: float, period_s: float) -> int:
     return int(frames)
 
 
+def _frame_ranges(
+    segments: list[Segment], frame_period_s: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """[lo, hi) per segment: the frames whose center (i+0.5)*period lies
+    in [start, end), found by binary search over the rising centers, so
+    each bound is the comparison a per-frame mask would make."""
+    centers = (np.arange(n) + 0.5) * frame_period_s
+    starts = np.array([seg.start_s for seg in segments], dtype=np.float64)
+    ends = np.array([seg.end_s for seg in segments], dtype=np.float64)
+    return np.searchsorted(centers, starts), np.searchsorted(centers, ends)
+
+
 def rasterize(
     segments: list[Segment],
     frame_period_s: float,
@@ -64,16 +76,18 @@ def rasterize(
 ) -> FrameDecisionTrack:
     """Frame i is 1 iff its center (i+0.5)*period lies in a segment."""
     n = _frame_total(stream_duration_s, frame_period_s)
-    decisions = np.zeros(n, dtype=np.int8)
-    centers = (np.arange(n) + 0.5) * frame_period_s
     for seg in segments:
         if seg.start_s < -1e-9 or seg.end_s > stream_duration_s + 1e-9:
             raise SegmentOutOfBounds(
                 f"[{seg.start_s}, {seg.end_s}) outside stream of "
                 f"{stream_duration_s}s"
             )
-        decisions[(centers >= seg.start_s) & (centers < seg.end_s)] = 1
-    return FrameDecisionTrack(decisions, frame_period_s)
+    lo, hi = _frame_ranges(segments, frame_period_s, n)
+    # segments covering each frame: +1 where one starts, -1 after it ends
+    depth = np.cumsum(
+        np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+    )
+    return FrameDecisionTrack((depth[:n] > 0).astype(np.int8), frame_period_s)
 
 
 def condition_frames(
@@ -81,16 +95,17 @@ def condition_frames(
     frame_period_s: float,
     stream_duration_s: float,
 ) -> list[str]:
-    """Per-frame condition labels from labeled segments; gaps are no_speech."""
+    """Per-frame condition labels from labeled segments; gaps are
+    no_speech, and where segments overlap the later one wins."""
     n = _frame_total(stream_duration_s, frame_period_s)
-    out = ["no_speech"] * n
-    centers = (np.arange(n) + 0.5) * frame_period_s
     for seg in condition_segments:
         if seg.label not in CONDITIONS:
             raise InvalidConfig(f"unknown condition {seg.label!r}")
-        for i in np.nonzero((centers >= seg.start_s) & (centers < seg.end_s))[0]:
-            out[i] = seg.label
-    return out
+    codes = np.full(n, CONDITIONS.index("no_speech"), dtype=np.int8)
+    lo, hi = _frame_ranges(condition_segments, frame_period_s, n)
+    for seg, a, b in zip(condition_segments, lo, hi):
+        codes[a:b] = CONDITIONS.index(seg.label)
+    return np.array(CONDITIONS)[codes].tolist()
 
 
 # -----------------------------------------------------------------------------

@@ -40,9 +40,14 @@ inference (Jacob et al. 2018, "Quantization and training of neural
 networks for efficient integer-arithmetic-only inference"): a frame
 layer is one product, then bias and ReLU, and the next frame layer, or
 the tap after pooling, divides its weight columns by the batch-norm
-scale and takes the shift into its bias (_Folded). The fold costs
-nothing per chunk: the scale is applied in the one pass that casts each
-weight to float64, and the folded biases are computed once per net.
+scale and takes the shift into its bias (_Folded). The folded biases are
+computed once per net, and the scale is applied in the pass that casts
+each weight to float64 for a chunk, but that divide is not free: on 2
+cores (numpy 2.4.6, OpenBLAS) it took 0.92-0.97 ms on a 512 x 1,536 or
+1,500 x 512 weight where a plain cast took 0.36-0.39 ms, and 1.83 ms
+against 0.73 ms on the standard net's 512 x 3,000 tap. That is about
+3 ms of a 28 ms 500-row standard-net chunk, 1.9 ms more than plain
+casts; float32 frame layers (ROADMAP item 3) would drop the cast.
 
 Neither the fold nor how windows fall into chunks and tap batches
 changes an embedding in any case measured, but that rests on the

@@ -335,6 +335,32 @@ def ref_filter_segments(decisions, segments, noise_proportion_threshold):
 
 
 # -----------------------------------------------------------------------------
+# Frame-level VAD scoring grids, one full-length mask per segment.
+# -----------------------------------------------------------------------------
+
+def ref_rasterize(spans, period, n):
+    """int8 frame track: frame i is 1 iff its center (i + 0.5) * period
+    lies in some [start, end) of spans."""
+    decisions = np.zeros(n, dtype=np.int8)
+    centers = (np.arange(n) + 0.5) * period
+    for start, end in spans:
+        decisions[(centers >= start) & (centers < end)] = 1
+    return decisions
+
+
+def ref_condition_frames(labeled, period, n):
+    """Per-frame labels from (start, end, label) triples in order: a frame
+    takes the label of the last triple holding its center, no_speech if
+    none does."""
+    out = ["no_speech"] * n
+    centers = (np.arange(n) + 0.5) * period
+    for start, end, label in labeled:
+        for i in np.nonzero((centers >= start) & (centers < end))[0]:
+            out[i] = label
+    return out
+
+
+# -----------------------------------------------------------------------------
 # .xvec archive bytes, packed one record at a time.
 # -----------------------------------------------------------------------------
 

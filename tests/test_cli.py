@@ -19,6 +19,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from speechseg.classifier import load_model
 from speechseg.cli import COMMANDS, main
@@ -33,9 +35,25 @@ from speechseg.frontend import (
 )
 from speechseg.metrics import read_condition_labels, read_transcripts
 from speechseg.segments import read_tsv
-from speechseg.xvector import WEIGHTS_MAGIC, WEIGHTS_VERSION, load_archive
+from speechseg.synth import make_speech_proxy
+from speechseg.xvector import (
+    WEIGHTS_MAGIC,
+    WEIGHTS_VERSION,
+    extract_sequence,
+    load_archive,
+    load_weights,
+    make_test_net,
+    save_archive,
+    save_weights,
+)
 
-from test_readers import CHECKSUMMED, flip, reseal, valid_dir  # noqa: F401
+from test_readers import (  # noqa: F401
+    CHECKSUMMED,
+    flip,
+    mutations,
+    reseal,
+    valid_dir,
+)
 
 
 def run(argv):
@@ -206,9 +224,9 @@ class TestConfigResolution:
         assert doc["duration_s"] == 10.0
 
     @pytest.mark.parametrize("command,doc", [
-        ("extract", {"jobs": "2"}),
+        ("segment", {"jobs": "2"}),
         ("train", {"tolerance": "abc"}),
-        ("extract", {"jobs": None}),
+        ("segment", {"jobs": None}),
         ("train", {"svm_c": True}),
     ], ids=["jobs-str", "tolerance-str", "jobs-null", "svm_c-bool"])
     def test_config_value_of_wrong_type_rejected(self, work, tmp_path,
@@ -258,6 +276,16 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert code == 2
         assert "perod" in err
+
+    def test_config_path_with_nul_rejected(self, tmp_path, capsys):
+        hyp, cond = self.hyp_files(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hyp": f"{hyp}\0"}), encoding="utf-8")
+        code = run(["eval-vad", "--config", str(cfg),
+                    "--conditions", str(cond), "--duration", "10"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage error: config key 'hyp' holds a NUL character" in err
 
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -377,21 +405,66 @@ class TestEmbeddingCommands:
         assert len(vecs) == 13
         assert vecs[0].values.shape == (512,)
 
-    def test_extract_manifest_jobs_match_serial(self, work, tmp_path,
-                                                run_json):
-        a = run_json(["extract", "--manifest", str(work / "train.tsv"),
-                      "--net", str(work / "net.xvnw"),
-                      "--out", str(tmp_path / "a"), "--jobs", "1"])
-        b = run_json(["extract", "--manifest", str(work / "train.tsv"),
-                      "--net", str(work / "net.xvnw"),
-                      "--out", str(tmp_path / "b"), "--jobs", "4"])
-        assert len(a["files"]) == 16
-        assert a["total_windows"] == b["total_windows"]
-        for fa, fb in zip(a["files"], b["files"]):
-            assert fa["id"] == fb["id"]
-            assert Path(fa["out"]).read_bytes() == Path(
-                fb["out"]
-            ).read_bytes()
+    @pytest.mark.parametrize("preset", ["small", "standard"])
+    def test_extract_archives_match_per_input_extraction(
+            self, work, tmp_path, run_json, preset):
+        # every input of a manifest shares one tape; each archive is the
+        # one extract_sequence gives that input alone, byte for byte
+        net_path = work / "net.xvnw"
+        if preset == "standard":
+            net_path = tmp_path / "std.xvnw"
+            save_weights(make_test_net(7, "standard"), net_path)
+        short = tmp_path / "short.wav"
+        tail = tmp_path / "tail.wav"
+        write_wav(make_speech_proxy(0.3, seed=1), short)
+        write_wav(make_speech_proxy(3.2, seed=2), tail)
+        paths = [work / "mix.wav", work / "sp0.wav", short, tail,
+                 work / "tn0.wav", work / "tn1.wav"]
+        man = tmp_path / "man.tsv"
+        man.write_text("".join(f"{p}\tspeech\ts{i}\n"
+                               for i, p in enumerate(paths)),
+                       encoding="utf-8")
+        doc = run_json(["extract", "--manifest", str(man),
+                        "--net", str(net_path), "--out", str(tmp_path / "xv")])
+        assert [f["id"] for f in doc["files"]] == [p.stem for p in paths]
+        assert [f["windows"] for f in doc["files"]] == [13, 1, 0, 4, 1, 1]
+        net = load_weights(net_path)
+        for path, f in zip(paths, doc["files"]):
+            alone = tmp_path / "alone.xvec"
+            feats = apply_cmvn(compute_mfcc(read_wav(path)))
+            save_archive(extract_sequence(net, feats), alone)
+            assert Path(f["out"]).read_bytes() == alone.read_bytes(), f["id"]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_extract_has_no_jobs(self, work, tmp_path, capsys, how):
+        argv = ["extract", "--manifest", str(work / "train.tsv"),
+                "--net", str(work / "net.xvnw"), "--out", str(tmp_path / "x")]
+        if how == "flag":
+            argv += ["--jobs", "2"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_extract_failing_input(self, work, tmp_path, capsys):
+        # the tape reads up to TAP_BATCH windows ahead before it yields a
+        # stream, so an input before the failing one may have no archive
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"RIFF")
+        man = tmp_path / "man.tsv"
+        man.write_text(f"{work / 'mix.wav'}\tspeech\ta\n{bad}\tnoise\tb\n",
+                       encoding="utf-8")
+        out = tmp_path / "x"
+        code = run(["extract", "--manifest", str(man),
+                    "--net", str(work / "net.xvnw"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: UnsupportedEncoding: {bad}" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_partial_sample_is_domain_error(self, work, tmp_path, capsys):
         # a PCM16 data chunk of 3,001 bytes ends in half a sample
@@ -423,11 +496,12 @@ class TestEmbeddingCommands:
         assert "CorruptArchive" in err and str(net) in err
 
     def test_jobs_below_one_rejected(self, work, tmp_path, capsys):
-        code = run(["extract", "--audio", str(work / "mix.wav"),
+        code = run(["segment", "--strategy", "baseline",
+                    "--audio", str(work / "mix.wav"),
                     "--net", str(work / "net.xvnw"),
                     "--out", str(tmp_path / "x"), "--jobs", "0"])
         assert code == 2
-        capsys.readouterr()
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
     def test_audio_and_manifest_conflict(self, work, tmp_path, capsys):
         for extra in ([], ["--audio", str(work / "mix.wav"),
@@ -906,7 +980,7 @@ class TestDataCommands:
         assert len(segs) == entry["segments"] == 2
 
     @pytest.mark.parametrize("file_id", ["../escaped", "sub/escaped",
-                                         "..", "."])
+                                         "..", ".", "nul\0id"])
     def test_realign_id_that_is_not_a_file_name(self, tmp_path, capsys,
                                                 file_id):
         ctm = tmp_path / "t.ctm"
@@ -1121,3 +1195,54 @@ class TestFileErrors:
         assert code == 1, err
         assert f"error: {error}: " in err and str(bad) in err
         assert "Traceback" not in err
+
+    # each reader's valid file from test_readers (and a --config document)
+    # mutated many ways, through the command that reads it: the run ends
+    # in exit 0, 1 with a named error or 2 with a usage error, and an
+    # exception that escapes cli.main fails the test
+    FUZZ_CASES = {
+        "read_wav": ("mfcc", "audio"),
+        "read_wav_extensible": ("mfcc", "audio"),
+        "load_weights": ("extract", "net"),
+        "load_model": ("segment", "model"),
+        "read_tsv": ("eval-vad", "hyp"),
+        "read_condition_labels": ("eval-vad", "conditions"),
+        "read_ctm": ("realign", "ctm"),
+        "read_manifest": ("train", "manifest"),
+        "read_transcripts": ("eval-wer", "ref"),
+        "config": ("realign", "config"),
+    }
+
+    @pytest.mark.parametrize("reader", list(FUZZ_CASES))
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_file_exits_cleanly(self, work, valid_dir, tmp_path,
+                                        monkeypatch, capsys, reader, data):
+        command, option = self.FUZZ_CASES[reader]
+        if reader == "config":
+            valid = json.dumps({"ctm": "valid.ctm", "max_gap": 0.5,
+                                "min_dur": 0.25}).encode()
+        else:
+            valid = (valid_dir / reader).read_bytes()
+        raw = data.draw(mutations(valid))
+        if reader in CHECKSUMMED and len(raw) >= 4 and data.draw(st.booleans()):
+            raw = reseal(raw)
+        bad = tmp_path / "bad"
+        bad.write_bytes(raw)
+        # the valid manifest names a.wav and b.wav; give it clips to read
+        monkeypatch.chdir(valid_dir)
+        if option == "config":
+            # the flags win over the document, so no path in it is opened
+            argv = invocation(work, tmp_path, command, {})
+            argv += ["--config", str(bad)]
+        else:
+            argv = invocation(work, tmp_path, command, {option: bad})
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert re.match(r"error: [A-Za-z]+: ", err), err
+        elif code == 2:
+            assert err.startswith("usage error: "), err

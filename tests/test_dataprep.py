@@ -246,6 +246,14 @@ class TestFileFormats:
         with pytest.raises(InvalidConfig):
             read_manifest(p)
 
+    def test_manifest_path_with_nul(self, tmp_path):
+        # open() would raise ValueError on it, a traceback at the CLI
+        p = tmp_path / "m.tsv"
+        p.write_text("a.wav\tspeech\tsrc1\n\0b.wav\tnoise\tsrc2\n",
+                     encoding="utf-8")
+        with pytest.raises(InvalidConfig, match=re.escape(f"{p}:2:")):
+            read_manifest(p)
+
     def test_word_alignment_validation(self):
         with pytest.raises(InvalidConfig):
             WordAlignment("bad", 1.0, 1.0, "f1")

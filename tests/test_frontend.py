@@ -226,6 +226,17 @@ class TestMfcc:
         with pytest.raises(error):
             step(given)
 
+    def test_short_audio_at_a_huge_rate_builds_no_constants(self,
+                                                          monkeypatch):
+        # a WAV header may claim any u32 rate; at 4 GHz the filterbank
+        # alone would be 21 GB, so the frame check must come first
+        def never(rate):
+            raise AssertionError(f"constants built for {rate} Hz")
+
+        monkeypatch.setattr(frontend, "_mfcc_constants", never)
+        with pytest.raises(AudioTooShort, match="one frame of 107374182"):
+            compute_mfcc(AudioBuffer(np.zeros(80), 2**32 - 1))
+
     def test_bad_config_rejected(self):
         # below 60 Hz a 25 ms frame rounds to 1 sample (a 0/0 Hamming
         # window) and at 50 Hz and under a 10 ms shift rounds to 0

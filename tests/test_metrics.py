@@ -14,6 +14,7 @@ from speechseg.errors import (
     ZeroTotal,
 )
 from speechseg.metrics import (
+    CONDITIONS,
     RocCurve,
     align_wer,
     condition_frames,
@@ -29,7 +30,12 @@ from speechseg.metrics import (
 )
 from speechseg.segments import Segment
 
-from reference import ref_edit_distance, ref_roc
+from reference import (
+    ref_condition_frames,
+    ref_edit_distance,
+    ref_rasterize,
+    ref_roc,
+)
 
 # published benchmark rows: total words, total errors, and the
 # insertion/deletion/substitution breakdown, with the expected percent
@@ -62,6 +68,32 @@ class TestRasterize:
     def test_out_of_bounds(self):
         with pytest.raises(SegmentOutOfBounds):
             rasterize([Segment(0.5, 3.0, "speech")], 0.01, 2.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), period=st.sampled_from([0.01, 0.03, 0.1, 0.7]),
+           n=st.integers(0, 60))
+    def test_grids_match_per_segment_masks(self, data, period, n):
+        # bounds exactly on frame centers, halfway between them, or
+        # anywhere; segments may overlap or hold no frame center
+        bound = st.one_of(
+            st.integers(0, n).map(lambda k: (k + 0.5) * period),
+            st.integers(0, n).map(lambda k: k * period),
+            st.floats(0, n * period),
+        )
+        pairs = data.draw(st.lists(st.tuples(bound, bound).filter(
+            lambda p: p[0] != p[1]).map(sorted), max_size=8))
+        pairs = [(a, b) for a, b in pairs if b <= n * period]
+        labels = data.draw(st.lists(st.sampled_from(CONDITIONS),
+                                    min_size=len(pairs),
+                                    max_size=len(pairs)))
+        labeled = [(a, b, c) for (a, b), c in zip(pairs, labels)]
+        segs = [Segment(*t) for t in labeled]
+        track = rasterize(segs, period, n * period)
+        assert len(track) == n
+        assert track.decisions.dtype == np.int8
+        assert (track.decisions == ref_rasterize(pairs, period, n)).all()
+        assert condition_frames(segs, period, n * period) == (
+            ref_condition_frames(labeled, period, n))
 
     @pytest.mark.parametrize("period,duration", [
         (0.0, 2.0), (-0.01, 2.0), (0.01, -1.0), (float("nan"), 2.0),

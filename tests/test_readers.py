@@ -20,6 +20,7 @@ from speechseg.errors import SpeechSegError
 from speechseg.frontend import AudioBuffer, read_wav, write_wav
 from speechseg.metrics import read_condition_labels, read_transcripts
 from speechseg.segments import read_tsv
+from speechseg.synth import make_speech_proxy, make_tone
 from speechseg.xvector import (
     EMBEDDING_DIM,
     AffineLayer,
@@ -90,6 +91,9 @@ def valid_dir(tmp_path_factory):
         ("read_transcripts", "rec1\tthe quick fox\nrec2\tjumps\n"),
     ]:
         (d / name).write_text(text, encoding="utf-8")
+    # the clips the valid manifest names, one window each
+    write_wav(make_speech_proxy(0.6, seed=3), d / "a.wav")
+    write_wav(make_tone(0.6, 440.0), d / "b.wav")
     return d
 
 
