@@ -1,13 +1,15 @@
 """Speech/noise classifier: L1 normalizer, linear SVM, Platt calibration.
 
 Training data is an N x D matrix of embeddings with one "speech" or
-"noise" label per row. Training solves the L2-regularized hinge-loss SVM
-in its dual with coordinate descent (the bias enters as an extra
-always-one feature). Probability calibration fits the sigmoid
-p = 1 / (1 + exp(A*s + B)) on out-of-fold decision scores from a
-stratified cross-validation, using the standard smoothed targets and a
-damped Newton solver. The per-epoch dual objective is recorded during SVM
-training and never increases.
+"noise" label per row, and scoring takes such a matrix too: every row is
+L1-normalized, scored with one np.vecdot (bit for bit the per-vector dot
+product w @ x) and mapped through the calibrated sigmoid. Training
+solves the L2-regularized hinge-loss SVM in its dual with coordinate
+descent (the bias enters as an extra always-one feature). Probability
+calibration fits the sigmoid p = 1 / (1 + exp(A*s + B)) on out-of-fold
+decision scores from a stratified cross-validation, using the standard
+smoothed targets and a damped Newton solver. The per-epoch dual
+objective is recorded during SVM training and never increases.
 """
 from __future__ import annotations
 
@@ -74,35 +76,37 @@ class CalibratedLinearModel:
         if not 0 <= self.decision_threshold <= 1:
             raise InvalidConfig("decision threshold must lie in [0, 1]")
 
-    def raw_score(self, x: np.ndarray) -> float:
-        x = l1_normalize(np.asarray(x, dtype=np.float64))
-        if x.shape != self.w.shape:
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        """Raw SVM scores of a D-vector or of each row of an N x D matrix."""
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[-1:] != self.w.shape:
             raise DimMismatch(
                 f"expected {self.w.shape[0]}-dim input, got {x.shape}"
             )
-        return float(self.w @ x + self.b)
+        return np.vecdot(l1_normalize(x), self.w) + self.b
+
+    def probabilities(self, x: np.ndarray) -> np.ndarray:
+        """Calibrated speech probabilities, shaped as scores(x)."""
+        return _sigmoid(self.calib_A * self.scores(x) + self.calib_B)
 
     def probability(self, x: np.ndarray) -> float:
-        return sigmoid_probability(self.calib_A, self.calib_B, self.raw_score(x))
+        return float(self.probabilities(x))
 
 
-def sigmoid_probability(a: float, b: float, score: float) -> float:
-    z = a * score + b
-    if z >= 0:  # overflow-safe on both tails
-        e = math.exp(-z)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(z))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)), through exp(-|z|) so that neither tail overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def l1_normalize(x: np.ndarray) -> np.ndarray:
-    """x scaled so its absolute values sum to 1; zero vector unchanged."""
-    x = np.asarray(x, dtype=np.float64)
+    """A float64 copy of x scaled to unit L1 norm along its last axis;
+    zero vectors unchanged."""
+    x = np.array(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NonFiniteInput("cannot normalize non-finite values")
-    norm = np.abs(x).sum()
-    if norm == 0.0:
-        return x.copy()
-    return x / norm
+    norm = np.abs(x).sum(axis=-1, keepdims=True)
+    return np.divide(x, norm, out=x, where=norm != 0.0)
 
 
 # -----------------------------------------------------------------------------
@@ -127,10 +131,7 @@ def _design_matrix(x: np.ndarray, labels):
     y = _targets(labels, len(x))
     if (y > 0).all() or (y < 0).all():
         raise SingleClassData("training data must contain both classes")
-    out = np.empty_like(x)
-    for i, row in enumerate(x):
-        out[i] = l1_normalize(row)
-    return out, y
+    return l1_normalize(x), y
 
 
 def train_linear_svm(
@@ -237,11 +238,7 @@ def _fit_sigmoid(scores: np.ndarray, is_pos: np.ndarray):
     fval = objective(a, b)
     for _ in range(100):
         z = a * scores + b
-        p = np.where(
-            z >= 0,
-            np.exp(-z) / (1.0 + np.exp(-z)),
-            1.0 / (1.0 + np.exp(z)),
-        )
+        p = _sigmoid(z)
         grad_a = float(np.sum((t - p) * scores))
         grad_b = float(np.sum(t - p))
         if max(abs(grad_a), abs(grad_b)) < 1e-10:
@@ -319,8 +316,7 @@ def recalibrate(
     is_pos = _targets(labels, len(x)) > 0
     if is_pos.all() or not is_pos.any():
         raise SingleClassData("recalibration needs both classes")
-    scores = np.array([model.raw_score(row) for row in x])
-    a, b_cal = _fit_sigmoid(scores, is_pos)
+    a, b_cal = _fit_sigmoid(model.scores(x), is_pos)
     return replace(model, calib_A=a, calib_B=b_cal)
 
 
@@ -338,34 +334,38 @@ class ThresholdReport:
 
 
 def select_threshold(
-    scored: list[tuple[float, int]], target_fpr: float
+    scores: np.ndarray, positive: np.ndarray, target_fpr: float
 ) -> ThresholdReport:
     """Smallest decision threshold whose empirical FPR is within target.
 
-    Predictions are positive at probability >= threshold, so FPR is
-    non-increasing in the threshold and the smallest feasible threshold
-    also maximizes TPR. The returned threshold sits just above the highest
-    score that must stay excluded. TPR at the exact target is additionally
-    reported by linear interpolation along the ROC curve.
+    scores are probabilities and positive flags the rows that are truly
+    speech. Predictions are positive at probability >= threshold, so FPR
+    is non-increasing in the threshold and the smallest feasible
+    threshold also maximizes TPR. The returned threshold sits just above
+    the highest score that must stay excluded. TPR at the exact target is
+    additionally reported by linear interpolation along the ROC curve.
     """
     if not 0 < target_fpr < 1:
         raise InvalidConfig("target FPR must lie strictly between 0 and 1")
-    neg = sorted((s for s, label in scored if not label), reverse=True)
-    if not neg:
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
+    if scores.shape != positive.shape:
+        raise DimMismatch(f"{positive.shape} labels for {scores.shape} scores")
+    neg = np.sort(scores[~positive])[::-1]
+    if not len(neg):
         raise NoNegatives("threshold selection needs negative examples")
     allowed = int(math.floor(target_fpr * len(neg)))
     # the (allowed+1)-th highest negative must fall below the threshold
-    cut = neg[allowed]
-    threshold = float(np.nextafter(cut, np.inf))
+    threshold = float(np.nextafter(neg[allowed], np.inf))
 
-    pos = [s for s, label in scored if label]
-    fp = sum(1 for s in neg if s >= threshold)
-    achieved_fpr = fp / len(neg)
+    pos = scores[positive]
+    achieved_fpr = np.count_nonzero(neg >= threshold) / len(neg)
     achieved_tpr = (
-        sum(1 for s in pos if s >= threshold) / len(pos) if pos else 0.0
+        np.count_nonzero(pos >= threshold) / len(pos) if len(pos) else 0.0
     )
     interpolated = (
-        tpr_at_fpr(roc_curve(scored), target_fpr) if pos else 0.0
+        tpr_at_fpr(roc_curve(scores, positive), target_fpr)
+        if len(pos) else 0.0
     )
     return ThresholdReport(
         threshold, achieved_fpr, achieved_tpr, interpolated, target_fpr

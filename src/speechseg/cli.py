@@ -230,11 +230,10 @@ def _cmd_threshold(cfg):
     model = load_model(cfg["model"])
     net = load_weights(cfg["net"])
     x, owners = _embed_manifest(cfg, net)
-    scored = [
-        (model.probability(row), 1 if e.label == "speech" else 0)
-        for row, e in zip(x, owners)
-    ]
-    report = select_threshold(scored, cfg["target_fpr"])
+    positive = np.array([e.label == "speech" for e in owners], dtype=bool)
+    report = select_threshold(
+        model.probabilities(x), positive, cfg["target_fpr"]
+    )
     if cfg["out"] is not None:
         save_model(
             replace(model, decision_threshold=report.threshold), cfg["out"]

@@ -131,6 +131,10 @@ PRE_EMPHASIS = 0.97
 LOW_FREQ_HZ = 20.0
 LOG_ENERGY_FLOOR = 1e-10
 CMVN_WINDOW_FRAMES = 301
+# the highest rate read_wav accepts: the mel filterbank's width grows with
+# the rate in the header, so a small file claiming 16,777,216 Hz would
+# size a front end of about 100 MB
+MAX_SAMPLE_RATE_HZ = 384_000
 
 # frames per block of compute_mfcc, on each worker thread
 MFCC_BLOCK_FRAMES = 240
@@ -237,7 +241,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     IEEE float samples become float64 clipped to [-1, 1], and a non-finite
     one raises InvalidConfig. WAVE_FORMAT_EXTENSIBLE files are read by the
     format tag in their SubFormat GUID. Multi-channel files are rejected
-    with ChannelMismatch.
+    with ChannelMismatch, and rates above MAX_SAMPLE_RATE_HZ with
+    InvalidConfig.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -300,6 +305,11 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
     if channels > 1:
         raise ChannelMismatch(f"{path}: {channels} channels; need mono")
+    if sample_rate > MAX_SAMPLE_RATE_HZ:
+        raise InvalidConfig(
+            f"{path}: sample rate {sample_rate} Hz is above the "
+            f"{MAX_SAMPLE_RATE_HZ} Hz limit"
+        )
 
     if audio_format == 1:
         # int16 / 32768 lies in [-1, 1), so PCM16 needs no clip

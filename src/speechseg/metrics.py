@@ -96,7 +96,9 @@ def condition_frames(
     stream_duration_s: float,
 ) -> list[str]:
     """Per-frame condition labels from labeled segments; gaps are
-    no_speech, and where segments overlap the later one wins."""
+    no_speech, and where segments overlap the later one wins. A list, so
+    that `+=` concatenates the labels of several streams (on a NumPy
+    array it would add elementwise)."""
     n = _frame_total(stream_duration_s, frame_period_s)
     for seg in condition_segments:
         if seg.label not in CONDITIONS:
@@ -128,11 +130,14 @@ class RocCurve:
                 raise InvalidConfig("curve must be non-decreasing")
 
 
-def roc_curve(scores: list[tuple[float, int]]) -> RocCurve:
-    """Exact ROC: one operating point per distinct score, positive iff
-    score >= threshold, plus the (0,0) anchor at threshold +inf."""
-    values = np.asarray([s for s, _ in scores], dtype=np.float64)
-    labels = np.asarray([int(bool(y)) for _, y in scores], dtype=np.int64)
+def roc_curve(scores: np.ndarray, positive: np.ndarray) -> RocCurve:
+    """Exact ROC of scores against truly-positive flags: one operating
+    point per distinct score, positive iff score >= threshold, plus the
+    (0,0) anchor at threshold +inf."""
+    values = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(positive, dtype=bool).astype(np.int64)
+    if values.shape != labels.shape:
+        raise LengthMismatch(f"{labels.size} labels for {values.size} scores")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -186,18 +191,20 @@ class VadEvalReport:
 
 
 def frame_vad_eval(
-    hyp: FrameDecisionTrack, conditions: list[str]
+    hyp: FrameDecisionTrack, conditions: np.ndarray | list[str]
 ) -> VadEvalReport:
-    """Per-condition TPR over speech frames; FPR over no_speech frames."""
+    """Per-condition TPR over speech frames; FPR over no_speech frames.
+
+    conditions holds one label per frame, as an array or a list."""
     if len(hyp) != len(conditions):
         raise LengthMismatch(
             f"{len(hyp)} hypothesis frames vs {len(conditions)} labels"
         )
-    for c in conditions:
-        if c not in CONDITIONS:
-            raise InvalidConfig(f"unknown condition {c!r}")
+    cond = np.asarray(conditions, dtype=str)
+    unknown = cond[~np.isin(cond, CONDITIONS)]
+    if len(unknown):
+        raise InvalidConfig(f"unknown condition {str(unknown[0])!r}")
 
-    cond = np.asarray(conditions)
     dec = hyp.decisions
     tpr_by = {}
     counts = {}

@@ -295,9 +295,7 @@ def _decide(records, cfg, model):
     if model is None:
         out.probability, cut = 1.0, 1.0
     else:
-        out.probability = np.fromiter(
-            map(model.probability, records.values), float, len(records)
-        )
+        out.probability = model.probabilities(records.values)
         cut = model.decision_threshold
     out.speech = out.probability >= cut
     out.cluster = -1

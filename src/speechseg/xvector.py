@@ -47,7 +47,7 @@ cores (numpy 2.4.6, OpenBLAS) it took 0.92-0.97 ms on a 512 x 1,536 or
 1,500 x 512 weight where a plain cast took 0.36-0.39 ms, and 1.83 ms
 against 0.73 ms on the standard net's 512 x 3,000 tap. That is about
 3 ms of a 28 ms 500-row standard-net chunk, 1.9 ms more than plain
-casts; float32 frame layers (ROADMAP item 3) would drop the cast.
+casts; float32 frame layers, an open ROADMAP item, would drop the cast.
 
 Neither the fold nor how windows fall into chunks and tap batches
 changes an embedding in any case measured, but that rests on the

@@ -5,6 +5,8 @@ literal way possible (per-frame loops, explicit formulas), and must not
 import anything from the package under test. Slow is fine; these run on
 small inputs.
 """
+import math
+
 import numpy as np
 
 
@@ -332,6 +334,27 @@ def ref_filter_segments(decisions, segments, noise_proportion_threshold):
         for k, seg in enumerate(segments)
         if totals[k] > 0 and noise[k] / totals[k] <= noise_proportion_threshold
     ]
+
+
+# -----------------------------------------------------------------------------
+# Calibrated linear scoring, one vector at a time.
+# -----------------------------------------------------------------------------
+
+def ref_probability(w, b, calib_a, calib_b, x):
+    """(raw score, probability) of one vector: divide x by the sum of its
+    absolute values (a zero vector stays zero), take w . x + b, then
+    p = 1 / (1 + exp(calib_a * score + calib_b)), evaluated through
+    exp(-z) for z >= 0 and exp(z) below so neither branch overflows."""
+    x = np.asarray(x, dtype=np.float64)
+    norm = np.abs(x).sum()
+    if norm != 0.0:
+        x = x / norm
+    score = float(np.asarray(w, dtype=np.float64) @ x + b)
+    z = calib_a * score + calib_b
+    if z >= 0:
+        e = math.exp(-z)
+        return score, e / (1.0 + e)
+    return score, 1.0 / (1.0 + math.exp(z))
 
 
 # -----------------------------------------------------------------------------

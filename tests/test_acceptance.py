@@ -101,7 +101,7 @@ def test_criterion_03_roc_oracle_equivalence():
         else:
             scores = np.round(rng.standard_normal(n), 3)
         scored = [(float(s), int(y)) for s, y in zip(scores, labels)]
-        got = roc_curve(scored)
+        got = roc_curve(scores, labels)
         want = ref_roc(scored)
         assert np.array_equal(got.fpr, [w[0] for w in want])
         assert np.array_equal(got.tpr, [w[1] for w in want])
@@ -177,8 +177,8 @@ def test_criterion_06_classifier_end_to_end():
     accuracy = hits / len(hold)
     assert accuracy >= 0.99
 
-    raws = np.array([model.raw_score(x[i]) for i in hold])
-    probs = np.array([model.probability(x[i]) for i in hold])
+    raws = model.scores(x[hold])
+    probs = model.probabilities(x[hold])
     order = np.argsort(raws)
     assert (np.diff(probs[order]) >= 0).all()
 

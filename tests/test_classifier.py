@@ -28,6 +28,8 @@ from speechseg.errors import (
     SingleClassData,
 )
 
+from reference import ref_probability
+
 
 def blob_dataset(n_per_class=200, margin=0.5, sigma=0.01, dim=512, seed=0):
     """(x, labels): two separable clouds at +/- margin along the first
@@ -37,6 +39,12 @@ def blob_dataset(n_per_class=200, margin=0.5, sigma=0.01, dim=512, seed=0):
     x[:n_per_class, 0] += margin
     x[n_per_class:, 0] -= margin
     return x, ["speech"] * n_per_class + ["noise"] * n_per_class
+
+
+def split(scored):
+    """(scores, positive) arrays from (score, label) pairs."""
+    scores, labels = zip(*scored)
+    return np.array(scores), np.array(labels, dtype=bool)
 
 
 def predicted(model, x):
@@ -213,7 +221,7 @@ class TestCalibration:
         rng = np.random.default_rng(6)
         points = [rng.standard_normal(16) for _ in range(40)]
         pairs = sorted(
-            (model.raw_score(p), model.probability(p)) for p in points
+            (float(model.scores(p)), model.probability(p)) for p in points
         )
         for (s1, p1), (s2, p2) in zip(pairs, pairs[1:]):
             assert s1 <= s2
@@ -257,17 +265,76 @@ class TestPredict:
             model.probability(np.ones(5))
 
 
+class TestScorer:
+    """The batched scorer against the per-vector oracle."""
+
+    def model(self, dim=512, seed=3):
+        rng = np.random.default_rng(seed)
+        return CalibratedLinearModel(
+            rng.standard_normal(dim), 0.37, calib_A=-4.1, calib_B=0.6)
+
+    def rows(self, n=400, dim=512, seed=4):
+        """float32 rows, as embeddings arrive, spread over many scales;
+        one row is all zeros."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3, (n, 1))
+        x[7] = 0.0
+        return x.astype(np.float32)
+
+    def test_scores_bit_equal_to_oracle(self):
+        model, x = self.model(), self.rows()
+        want = [ref_probability(model.w, model.b, model.calib_A,
+                                model.calib_B, row)[0] for row in x]
+        assert model.scores(x).tolist() == want
+        assert [float(model.scores(row)) for row in x[:20]] == want[:20]
+
+    def test_probabilities_within_two_ulp(self):
+        model, x = self.model(), self.rows()
+        want = np.array([ref_probability(model.w, model.b, model.calib_A,
+                                         model.calib_B, row)[1] for row in x])
+        got = model.probabilities(x)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 2 * np.spacing(want)).all()
+        assert [model.probability(row) for row in x[:20]] == got[:20].tolist()
+
+    def test_saturates_without_warning(self, recwarn):
+        # z = calib_A * score with score = +1 and -1: z = -1e4 and +1e4
+        model = CalibratedLinearModel(np.array([1.0, 0.0]), 0.0, -1e4, 0.0)
+        got = model.probabilities(np.array([[2.0, 0.0], [-2.0, 0.0]]))
+        assert got.tolist() == [1.0, 0.0]
+        assert len(recwarn) == 0
+
+    def test_empty_matrix(self):
+        model = self.model(dim=8)
+        for f in (model.scores, model.probabilities):
+            out = f(np.zeros((0, 8), dtype=np.float32))
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (0, 7), (2, 3, 8), ()])
+    def test_wrong_shape(self, shape):
+        model = self.model(dim=8)
+        with pytest.raises(DimMismatch):
+            model.probabilities(np.ones(shape))
+
+    def test_non_finite_row(self):
+        model = self.model(dim=8)
+        x = np.ones((3, 8))
+        x[1, 2] = np.inf
+        with pytest.raises(NonFiniteInput):
+            model.scores(x)
+
+
 class TestSelectThreshold:
     def test_perfect_separation(self):
         scored = [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]
-        report = select_threshold(scored, target_fpr=0.315)
+        report = select_threshold(*split(scored), target_fpr=0.315)
         assert 0.2 < report.threshold <= 0.8
         assert report.achieved_fpr == 0.0
         assert report.achieved_tpr == 1.0
 
     def test_four_negative_example(self):
         scored = [(0.1, 0), (0.2, 0), (0.3, 0), (0.9, 0), (0.85, 1), (0.95, 1)]
-        report = select_threshold(scored, target_fpr=0.315)
+        report = select_threshold(*split(scored), target_fpr=0.315)
         assert report.threshold == pytest.approx(0.3, abs=1e-9)
         assert report.threshold > 0.3  # strictly above the cut score
         assert report.achieved_fpr == 0.25
@@ -276,20 +343,24 @@ class TestSelectThreshold:
         # positives all sit above the lowest negative, so excluding only
         # that negative keeps every positive
         scored = [(0.05, 0), (0.5, 0), (0.6, 1), (0.7, 1), (0.9, 1)]
-        report = select_threshold(scored, target_fpr=0.999)
+        report = select_threshold(*split(scored), target_fpr=0.999)
         assert report.achieved_tpr == 1.0
         assert report.threshold <= 0.6  # at or below min positive score
         assert report.achieved_fpr <= 0.999
 
     def test_no_negatives(self):
         with pytest.raises(NoNegatives):
-            select_threshold([(0.5, 1)], 0.5)
+            select_threshold(*split([(0.5, 1)]), 0.5)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(DimMismatch):
+            select_threshold(np.array([0.5, 0.4]), np.array([False]), 0.5)
 
     def test_bad_target(self):
         scored = [(0.5, 1), (0.4, 0)]
         for t in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidConfig):
-                select_threshold(scored, t)
+                select_threshold(*split(scored), t)
 
     @given(
         n=st.integers(2, 80),
@@ -304,7 +375,7 @@ class TestSelectThreshold:
         ]
         if not any(y == 0 for _, y in scored):
             scored[0] = (scored[0][0], 0)
-        report = select_threshold(scored, target)
+        report = select_threshold(*split(scored), target)
         assert report.achieved_fpr <= target + 1e-12
 
     def test_tpr_monotone_in_target(self):
@@ -315,7 +386,7 @@ class TestSelectThreshold:
         scored[0] = (0.5, 0)
         scored[1] = (0.6, 1)
         tprs = [
-            select_threshold(scored, t).achieved_tpr
+            select_threshold(*split(scored), t).achieved_tpr
             for t in (0.05, 0.1, 0.2, 0.4, 0.8)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(tprs, tprs[1:]))

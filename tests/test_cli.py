@@ -365,6 +365,21 @@ class TestFrontendCommands:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_absurd_sample_rate_is_domain_error(self, tmp_path, capsys):
+        # a header-only file: the claimed rate is rejected before the
+        # front end sizes anything by it
+        wav = tmp_path / "fast.wav"
+        wav.write_bytes(
+            struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36, b"WAVE", b"fmt ",
+                        16, 1, 1, 16_777_216, 33_554_432, 2, 16, b"data", 0))
+        out = tmp_path / "m.npy"
+        code = run(["mfcc", "--audio", str(wav), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"InvalidConfig: {wav}: sample rate 16777216 Hz" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_gen_audio_kinds(self, tmp_path, run_json):
         for kind in ("silence", "tone", "noise", "speech"):
             doc = run_json(["gen-test-audio", "--kind", kind,
@@ -673,6 +688,46 @@ class TestSegmentCommand:
         a, b = docs[0]["files"][0], docs[1]["files"][0]
         for key in ("tsv", "rttm", "xvec", "log"):
             assert Path(a[key]).read_bytes() == Path(b[key]).read_bytes()
+
+    def test_blas_threads_leave_every_byte(self, work, tmp_path):
+        # each run in a fresh interpreter, since OpenBLAS reads its thread
+        # count once at load: one BLAS thread, then the library's default
+        # (every thread variable it reads removed). Outputs are relative
+        # to the run's directory, so the reports match byte for byte too
+        import speechseg
+
+        probe = (
+            "import sys\n"
+            "from speechseg.cli import main\n"
+            "audio, net, model = sys.argv[1:]\n"
+            "for s in ('xvector_seg_filt', 'baseline'):\n"
+            "    assert main(['segment', '--strategy', s, '--audio', audio,\n"
+            "                 '--net', net, '--model', model, '--out', s,\n"
+            "                 '--report', s + '.json']) == 0\n"
+        )
+        src = str(Path(speechseg.__file__).resolve().parent.parent)
+        base = {k: v for k, v in os.environ.items() if k not in (
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        outputs = []
+        for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}),
+                            ("default", {})):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, str(work / "mix.wav"),
+                 str(work / "net.xvnw"), str(work / "model.json")],
+                env=dict(base, PYTHONPATH=src, **extra), cwd=cwd,
+                capture_output=True, check=True,
+            )
+            files = {str(f.relative_to(cwd)): f.read_bytes()
+                     for f in sorted(cwd.rglob("*")) if f.is_file()}
+            outputs.append((proc.stdout, files))
+        (out_one, one), (out_default, default) = outputs
+        assert len(one) == 10  # four artifacts and a report per strategy
+        assert one.keys() == default.keys()
+        for name in one:
+            assert one[name] == default[name], name
+        assert out_one == out_default
 
     def test_cuts_at_the_model_threshold(self, work, tmp_path, run_json):
         tuned = tmp_path / "m2.json"

@@ -19,6 +19,7 @@ from speechseg.errors import (
     UnsupportedEncoding,
 )
 from speechseg.frontend import (
+    MAX_SAMPLE_RATE_HZ,
     AudioBuffer,
     FeatureMatrix,
     apply_cmvn,
@@ -101,6 +102,23 @@ class TestWav:
         path.write_bytes(full[:-500])
         with pytest.raises(TruncatedFile):
             read_wav(path)
+
+    @pytest.mark.parametrize("rate", [MAX_SAMPLE_RATE_HZ + 1, 16_777_216])
+    def test_absurd_sample_rate_rejected(self, tmp_path, rate):
+        # header only: the rate alone is checked, and nothing is sized by it
+        path = tmp_path / "fast.wav"
+        path.write_bytes(_wav_header(1, 1, rate, 16, 0))
+        with pytest.raises(
+            InvalidConfig, match=re.escape(f"{path}: sample rate {rate} Hz")
+        ):
+            read_wav(path)
+
+    def test_highest_sample_rate_read(self, tmp_path):
+        path = tmp_path / "top.wav"
+        path.write_bytes(_wav_header(1, 1, MAX_SAMPLE_RATE_HZ, 16, 4) + bytes(4))
+        audio = read_wav(path)
+        assert audio.sample_rate == MAX_SAMPLE_RATE_HZ
+        assert len(audio.samples) == 2
 
     @pytest.mark.parametrize("channels,bits,size", [
         (1, 16, 3001), (2, 16, 3002), (1, 32, 3002), (1, 64, 4004),

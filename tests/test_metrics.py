@@ -37,6 +37,12 @@ from reference import (
     ref_roc,
 )
 
+
+def roc_of(pairs):
+    """roc_curve of (score, label) pairs, the form ref_roc takes."""
+    scores, labels = zip(*pairs)
+    return roc_curve(np.array(scores), np.array(labels))
+
 # published benchmark rows: total words, total errors, and the
 # insertion/deletion/substitution breakdown, with the expected percent
 BENCHMARK_WER_ROWS = [
@@ -108,19 +114,19 @@ class TestRasterize:
 class TestRoc:
     def test_perfect_separation_through_0_1(self):
         scores = [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]
-        curve = roc_curve(scores)
+        curve = roc_of(scores)
         points = set(zip(curve.fpr.tolist(), curve.tpr.tolist()))
         assert (0.0, 1.0) in points
         assert (0.0, 0.0) in points and (1.0, 1.0) in points
 
     def test_all_scores_equal(self):
-        curve = roc_curve([(0.5, 1), (0.5, 0), (0.5, 1)])
+        curve = roc_of([(0.5, 1), (0.5, 0), (0.5, 1)])
         assert curve.fpr.tolist() == [0.0, 1.0]
         assert curve.tpr.tolist() == [0.0, 1.0]
 
     def test_six_items_vs_brute_force(self):
         scores = [(0.9, 1), (0.7, 0), (0.7, 1), (0.4, 1), (0.3, 0), (0.1, 0)]
-        curve = roc_curve(scores)
+        curve = roc_of(scores)
         want = ref_roc(scores)
         got = list(
             zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist())
@@ -142,7 +148,7 @@ class TestRoc:
         if dup:  # force tied scores
             raw = np.round(raw, 1)
         scores = list(zip(raw.tolist(), labels.tolist()))
-        curve = roc_curve(scores)
+        curve = roc_of(scores)
         want = ref_roc(scores)
         got = list(
             zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist())
@@ -153,16 +159,20 @@ class TestRoc:
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
-            roc_curve([(0.5, 1), (0.6, 1)])
+            roc_of([(0.5, 1), (0.6, 1)])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(LengthMismatch):
+            roc_curve(np.array([0.5, 0.6]), np.array([True]))
 
 
 class TestTprAtFpr:
     def test_perfect_curve_at_zero(self):
-        curve = roc_curve([(0.9, 1), (0.1, 0)])
+        curve = roc_of([(0.9, 1), (0.1, 0)])
         assert tpr_at_fpr(curve, 0.0) == 1.0
 
     def test_target_one_is_anchor(self):
-        curve = roc_curve([(0.3, 1), (0.6, 0), (0.2, 0)])
+        curve = roc_of([(0.3, 1), (0.6, 0), (0.2, 0)])
         assert tpr_at_fpr(curve, 1.0) == 1.0
 
     def test_three_point_interpolation(self):
@@ -178,7 +188,7 @@ class TestTprAtFpr:
         ]
         scores[0] = (0.5, 1)
         scores[1] = (0.5, 0)
-        curve = roc_curve(scores)
+        curve = roc_of(scores)
         values = [tpr_at_fpr(curve, t) for t in np.linspace(0, 1, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -217,6 +227,28 @@ class TestFrameVadEval:
         hyp = FrameDecisionTrack(np.zeros(3, dtype=int), 0.01)
         with pytest.raises(LengthMismatch):
             frame_vad_eval(hyp, ["no_speech"] * 4)
+
+    def test_streams_concatenate_and_arrays_agree(self):
+        hyp = FrameDecisionTrack(
+            np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 1]), 0.01)
+        truth = []
+        truth += condition_frames(
+            [Segment(0.0, 0.04, "clean_speech")], 0.01, 0.05)
+        truth += condition_frames(
+            [Segment(0.0, 0.02, "speech_with_noise")], 0.01, 0.05)
+        assert truth == (["clean_speech"] * 4 + ["no_speech"]
+                         + ["speech_with_noise"] * 2 + ["no_speech"] * 3)
+        assert frame_vad_eval(hyp, truth) == frame_vad_eval(
+            hyp, np.array(truth))
+
+    @pytest.mark.parametrize("conditions", [
+        ["no_speech", "bogus", "other"],
+        np.array(["no_speech", "bogus", "other"]),
+    ])
+    def test_unknown_label_named(self, conditions):
+        hyp = FrameDecisionTrack(np.zeros(3, dtype=int), 0.01)
+        with pytest.raises(InvalidConfig, match=r"^unknown condition 'bogus'$"):
+            frame_vad_eval(hyp, conditions)
 
 
 class TestAlignWer:
