@@ -489,7 +489,8 @@ COMMANDS = {
             Opt("out", str, help="output model JSON", required=True),
             Opt("svm_c", float, 1.0, "SVM regularization constant"),
             Opt("max_iter", int, 1000, "SVM epoch limit"),
-            Opt("tolerance", float, 1e-4, "SVM convergence tolerance"),
+            Opt("tolerance", float, 1e-4,
+                "SVM convergence tolerance, per unit of C"),
             Opt("folds", int, 3, "calibration cross-validation folds"),
             Opt("seed", int, 0, "fold shuffling seed"),
         ],

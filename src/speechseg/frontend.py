@@ -654,9 +654,20 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
             p0, p1 = start, stop
 
             at, to = lo - start, lo - start + window_frames
-            mz = (s1[to] - s1[at]) / window_frames
-            var = np.maximum((s2[to] - s2[at]) / window_frames - mz * mz, 0.0)
-            mean = mz + center
+            # every interior block's windows start on consecutive rows, so
+            # its sums are read as slices rather than gathered
+            if lo[-1] - start == len(lo) - 1:
+                at_rows = slice(0, len(lo))
+                to_rows = slice(window_frames, window_frames + len(lo))
+            else:
+                at_rows, to_rows = at, to
+            mean = np.subtract(s1[to_rows], s1[at_rows])
+            mean /= window_frames
+            var = np.subtract(s2[to_rows], s2[at_rows])
+            var /= window_frames
+            var -= mean * mean
+            np.maximum(var, 0.0, out=var)
+            mean += center
 
             # windows whose variance sits near the rounding floor get an exact
             # two-pass recompute; cancellation there can fake a nonzero std.

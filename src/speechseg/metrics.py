@@ -261,16 +261,21 @@ def align_wer(ref: list[str], hyp: list[str]) -> WerReport:
     if len(ref) + len(hyp) > (1 << 20):
         raise InvalidConfig("transcript too long to align")
 
-    hyp_arr = np.asarray(hyp, dtype=object)
-    row = np.arange(len(hyp) + 1, dtype=np.int64) * _INS
-    for i in range(1, len(ref) + 1):
-        sub_step = np.where(hyp_arr == ref[i - 1], 0, _SUB)
-        best = np.empty_like(row)
+    # each word coded once as an integer, so the rows compare integers
+    _, codes = np.unique(np.array([*ref, *hyp], dtype=object),
+                         return_inverse=True)
+    ref_codes, hyp_codes = codes[: len(ref)], codes[len(ref) :]
+    ramp = np.arange(len(hyp) + 1, dtype=np.int64) * _INS
+    row = ramp.copy()
+    best = np.empty_like(row)
+    for i, word in enumerate(ref_codes.tolist(), 1):
+        sub_step = np.where(hyp_codes == word, 0, _SUB)
         best[0] = i * _DEL
-        best[1:] = np.minimum(row[1:] + _DEL, row[:-1] + sub_step)
+        np.minimum(row[1:] + _DEL, row[:-1] + sub_step, out=best[1:])
         # fold in insertions along the row with a running prefix minimum
-        j = np.arange(len(hyp) + 1, dtype=np.int64)
-        row = np.minimum.accumulate(best - j * _INS) + j * _INS
+        np.subtract(best, ramp, out=best)
+        np.minimum.accumulate(best, out=row)
+        row += ramp
     packed = int(row[-1])
     errors, rest = divmod(packed, _PACK * _PACK)
     subs, ins = divmod(rest, _PACK)

@@ -35,6 +35,51 @@ segment affine) as one matrix product. A window the caller's keep
 predicate rejects is left out of the tape, so its rows never reach the
 frame layers unless a kept window needs them.
 
+On the small net a long stream runs on one tape per CPU the process may
+use (frontend._cpus), as compute_mfcc does. extract_streams cuts the
+stream's windows into contiguous ranges of about equal tape rows, no
+more ranges than CPUs and none of fewer than about SPLIT_FRAMES rows, so
+a stream splits once its kept windows cover 2 x SPLIT_FRAMES rows (15
+minutes at 10 ms); every shorter stream (clips, VAD regions) stays on
+the shared tape. A split pays a fixed cost, which OpenBLAS's helper
+threads raise while they still spin after the shared tape's threaded
+products, so a shorter stream would gain only while they are idle (see
+SPLIT_FRAMES). Each range gets a _SplitTape of its own: one runs on the
+calling thread, the rest on a per-call ThreadPoolExecutor, and all write
+into the stream's one record array. A range's tape holds the rows of its
+windows, so only the rows that the windows at a cut share go through the
+frame layers twice. The shared tape is fed to its end first, so streams
+still come out in input order, and the keep predicate, the padded
+windows and the non-finite check stay on the calling thread.
+
+Two tapes pay only while neither wakes OpenBLAS's threads, so a split
+tape runs each frame layer in row slices (frontend._sliced_matmul) and
+the tap in column slices, every product at or under the size OpenBLAS
+runs on the calling thread, with the weights cast once per stream
+(_sliced). A stream is split only when every frame layer's product of
+two rows fits that size: the small net's widest layer (48 x 256) does;
+the standard net's 1,536 x 512 does not, and its products already keep
+both cores busy through OpenBLAS: extracting the benchmark's seed-7
+4 x 60 s with two standard-net tapes per stream took 1,182-1,326 ms
+against 1,033-1,104 ms on one tape. On 2 cores (numpy 2.4.6, OpenBLAS
+0.3.31) extracting its seed-7 1,200 s recording with the small net took
+265-273 ms on one tape and 179-188 ms on two.
+
+A _SplitTape repeats _Tape's chunk (carried context, pooling, the rows
+of windows that straddle chunks) in buffers the calling thread makes
+before the workers start, because arrays a worker thread makes land in
+its own glibc arena, which keeps their pages. The shared tape makes its
+arrays per chunk and frees each layer's input once its product exists:
+on the buffered code, with whole products, the standard net's working
+set would stay allocated, and the benchmark's stream-standard workload
+peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13).
+
+Files run by segment --jobs each split their own streams, so N jobs can
+run N tapes per CPU; as no split product wakes OpenBLAS's threads, that
+still gained on 2 cores: segmenting two copies of the benchmark's
+1,200 s recording with --jobs 2 took 1,048-1,136 ms on split tapes against 1,293-1,442 ms
+on one tape each (--jobs 1: 1,111-1,118 ms against 1,292-1,306 ms).
+
 Batch norm is folded into the affine after it, as is usual for
 inference (Jacob et al. 2018, "Quantization and training of neural
 networks for efficient integer-arithmetic-only inference"): a frame
@@ -62,10 +107,11 @@ two; every float32 embedding was equal. What is checked bit for bit:
 every small-net window against a per-window pass and packed against one
 stream at a time, a few standard-net streams and chunk edges against
 both, a standard-net stream over three tap batches against the
-per-window pass (tests/test_xvector.py), and the artifacts of the
-benchmark's four workloads. The tests also hold embeddings within
-tolerance of the unfolded oracle: every window of that stream, and some
-windows of the others.
+per-window pass, a stream split across two and three tapes against one
+tape (tests/test_xvector.py), and the artifacts of the benchmark's four
+workloads. The tests also hold embeddings within tolerance of the
+unfolded oracle: every window of that stream, and some windows of the
+others.
 
 Weights live as float32; arithmetic runs in float64. load_weights returns
 them as read-only views of the file's bytes, which it reads once.
@@ -78,14 +124,17 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from . import frontend
 from .errors import (
     BadMagic,
     CorruptArchive,
@@ -117,6 +166,18 @@ BLOCK_FRAMES = 500
 # at 76.9 MB RSS with 16, 77.0 MB with 32, 78.1 MB with 64 and 79.5 MB
 # with 128, against 76.3 MB with one tap product per chunk
 TAP_BATCH = 32
+# tape rows each tape gets, at the least, when extract_streams splits a
+# small-net stream across tapes (_ranges): on 2 CPUs a stream splits once
+# its kept windows cover 90,000 rows, 15 minutes at 10 ms. A split pays a
+# fixed cost, and a larger one while OpenBLAS's helper threads still spin
+# after a threaded product, as they do once the shared tape has run a
+# stream. Split time over one-tape time, extracting speech-proxy streams
+# (2 cores, medians of 7 to 11 alternating runs): with the helpers idle,
+# 1.78 at 10.5 s, 1.34 at 20 s, 1.06 at 30 s, 0.81 at 60 s, 0.74 at
+# 120 s, 0.68 at 480 s and 0.70 at 900 s; right after a one-tape
+# extraction of 5 s, 1.31 at 60 s, 1.24 at 120 s, 1.15 at 480 s, 1.09 at
+# 600 s, 1.02 at 720 s, 0.93 at 900 s and 0.83 at 1,200 s
+SPLIT_FRAMES = 45_000
 
 # the sliding window grid, in seconds: a window of WINDOW_S every
 # STRIDE_S, and a tail window clamped to the stream end if at least
@@ -311,22 +372,31 @@ class XVectorNet:
 # Forward pass
 # -----------------------------------------------------------------------------
 
-def stats_pool(frames: np.ndarray) -> np.ndarray:
-    """Mean and population std per dimension, concatenated.
+def stats_pool(
+    frames: np.ndarray, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mean and population std per dimension, concatenated, into out if
+    given.
 
     One sum per column gives the mean, which also centers the deviations,
-    squared in place in one scratch buffer: the bits of np.mean and
-    np.std.
+    squared in place in one scratch buffer (the front rows of scratch if
+    given): the bits of np.mean and np.std.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1:
         raise EmptyInput("stats pooling needs at least one frame")
     n, d = frames.shape
-    out = np.empty(2 * d)
-    mean = np.divide(np.add.reduce(frames, axis=0), n, out=out[:d])
-    dev = frames - mean
+    if out is None:
+        out = np.empty(2 * d)
+    mean, std = out[:d], out[d:]
+    np.divide(np.add.reduce(frames, axis=0, out=mean), n, out=mean)
+    dev = np.subtract(
+        frames, mean, out=None if scratch is None else scratch[:n]
+    )
     np.multiply(dev, dev, out=dev)
-    np.sqrt(np.add.reduce(dev, axis=0) / n, out=out[d:])
+    np.divide(np.add.reduce(dev, axis=0, out=std), n, out=std)
+    np.sqrt(std, out=std)
     return out
 
 
@@ -336,6 +406,21 @@ def _pad_to(x: np.ndarray, need: int) -> np.ndarray:
     missing = need - len(x)
     left = (missing + 1) // 2
     return np.pad(x, ((left, missing - left), (0, 0)), mode="edge")
+
+
+def _stack(layer: AffineLayer, x: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The input of a frame layer's product: the rows of x at each of its
+    offsets side by side (into out if given), or x itself for a single
+    offset."""
+    if len(layer.offsets) == 1:
+        return x
+    lo = min(layer.offsets)
+    t_out = len(x) - (max(layer.offsets) - lo)
+    return np.concatenate(
+        [x[off - lo : off - lo + t_out] for off in layer.offsets],
+        axis=1, out=out,
+    )
 
 
 def _frame_layers(
@@ -352,8 +437,7 @@ def _frame_layers(
     start) and is updated in place, so the output continues theirs and no
     row is computed twice.
 
-    A layer's input is dropped once its stacked copy exists; a
-    single-offset layer multiplies its input as it is.
+    A layer's input is dropped once its stacked copy exists.
     """
     for k, fold in enumerate(net.folded_frames):
         layer, span = fold.layer, fold.span
@@ -361,18 +445,10 @@ def _frame_layers(
             if len(carry[k]):
                 x = np.concatenate([carry[k], x])
             carry[k] = x[max(len(x) - span, 0):].copy()
-        t_out = len(x) - span
-        if t_out <= 0:  # a chunk too short to reach this layer's output
+        if len(x) <= span:  # a chunk too short to reach this layer's output
             x = np.empty((0, layer.out_dim))
             continue
-        if len(layer.offsets) == 1:
-            stacked = x
-        else:
-            lo = min(layer.offsets)
-            stacked = np.concatenate(
-                [x[off - lo : off - lo + t_out] for off in layer.offsets],
-                axis=1,
-            )
+        stacked = _stack(layer, x)
         del x  # not alive while the layer's product is allocated
         x = stacked @ fold.weights()
         del stacked  # not alive while the next layer stacks its input
@@ -388,6 +464,26 @@ def _tap(net: XVectorNet, pooled: np.ndarray) -> np.ndarray:
     out = pooled @ net.folded_tap.weights()
     out += net.folded_tap.bias
     return out
+
+
+def _sliced(net: XVectorNet) -> tuple | None:
+    """(float64 weights, rows per slice) of each frame layer, then the
+    tap's (weights, column spans), for products that stay at or under
+    the size up to which OpenBLAS runs a gemm on the calling thread: a
+    frame layer's slice, with one row more, and the tap's slice over
+    TAP_BATCH rows, with one column more. The column spans are those of
+    frontend._spans, so no slice is a single column (a gemv). None, with
+    nothing cast, when a frame layer's product of two rows or the tap's
+    of two columns is above that size: the standard net's 1,536 x 512
+    layer is."""
+    size = frontend._SERIAL_GEMM_MNK
+    tap = net.folded_tap.layer.weight
+    step = [size // f.layer.weight.size - 1 for f in net.folded_frames]
+    cols = size // (TAP_BATCH * tap.shape[1]) - 1
+    if min(*step, cols) < 1:
+        return None
+    return (*((f.weights(), n) for f, n in zip(net.folded_frames, step)),
+            (net.folded_tap.weights(), frontend._spans(tap.shape[0], cols)))
 
 
 def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
@@ -477,17 +573,25 @@ class _Tape:
         if final:
             self.flush()
 
-    def _chunk(self, n: int) -> None:
-        take = []
+    def _take(self, n: int):
+        """Yield the next n queued rows as views of the added parts."""
         while n:
             rows = self.parts.popleft()
             if len(rows) > n:
                 self.parts.appendleft(rows[n:])
                 rows = rows[:n]
-            take.append(rows)
             n -= len(rows)
             self.queued -= len(rows)
             self.fed += len(rows)
+            yield rows
+
+    def _finished(self):
+        """The listed windows whose rows are all fed, popped in order."""
+        while self.windows and self.windows[0][3] <= self.fed:
+            yield self.windows.popleft()
+
+    def _chunk(self, n: int) -> None:
+        take = list(self._take(n))
         context = self.net.total_context
         y = _frame_layers(
             self.net,
@@ -496,9 +600,7 @@ class _Tape:
         )
         del take
         at = self.fed - context - len(y)  # tape row of y's first row
-        done = []
-        while self.windows and self.windows[0][3] <= self.fed:
-            done.append(self.windows.popleft())
+        done = list(self._finished())
         pooled = [
             stats_pool(
                 y[a - at : b - context - at] if a >= at
@@ -528,11 +630,162 @@ class _Tape:
         """The tap on the pooled rows of the batch."""
         n = len(self.dest)
         if n:
-            out = _tap(self.net, self.batch[:n])
+            out = self._embed(self.batch[:n])
             for (values, k), v in zip(self.dest, out):
                 values[k] = v  # cast to the record's float32
             self.dest.clear()
             self.tapped += n
+
+    def _embed(self, pooled: np.ndarray) -> np.ndarray:
+        """The tap on pooled, as one product (_tap)."""
+        return _tap(self.net, pooled)
+
+
+class _SplitTape(_Tape):
+    """A _Tape for one range of windows of a split stream (_split): the
+    same arithmetic, with every product in slices under OpenBLAS's
+    threading size (sliced, from _sliced), and no array made per chunk.
+
+    A chunk writes only into buffers made here, on the calling thread:
+    each frame layer's input holds the layer's carried context in front
+    of its new rows, and the layer before writes its output right after
+    that context; the stacked input, the last layer's output, the rows
+    kept for unfinished windows (tail), a straddling window's rows and
+    their deviations, and the tap's output have one buffer each, sized
+    by longest, the most rows of any window listed. Finished windows pool
+    straight into the tap batch. Arrays that a worker thread makes land
+    in its own glibc arena, which keeps their pages: with per-chunk
+    arrays, the long-small benchmark peaked at 138.7-141.7 MB RSS, with
+    these buffers at 134.4-134.6 MB, and on one tape at 133.7-134.1 MB
+    (seed 13, 10 runs each)."""
+
+    def __init__(self, net: XVectorNet, sliced: tuple, longest: int):
+        super().__init__(net)
+        *self.frame_sliced, self.tap = sliced
+        layers = net.frame_layers
+        self.inputs = [np.empty((BLOCK_FRAMES + l.span, l.in_dim))
+                       for l in layers]
+        self.held = [0] * len(layers)  # context rows in front of inputs[k]
+        self.stacked = np.empty(
+            BLOCK_FRAMES * max(l.weight.shape[1] for l in layers)
+        )
+        rows, width = max(longest - net.total_context, 1), layers[-1].out_dim
+        self.out = np.empty((BLOCK_FRAMES, width))
+        self.tail = np.empty((rows, width))  # output rows [tail_at, at)
+        self.joined = np.empty((rows, width))
+        self.dev = np.empty((rows, width))
+        self.tap_out = np.empty((TAP_BATCH, net.embedding_dim))
+
+    def _chunk(self, n: int) -> None:
+        net, context = self.net, self.net.total_context
+        new = 0
+        for rows in self._take(n):
+            start = self.held[0] + new
+            self.inputs[0][start : start + len(rows)] = rows
+            new += len(rows)
+        for k, fold in enumerate(net.folded_frames):
+            x, size = self.inputs[k], self.held[k] + new
+            new = max(size - fold.span, 0)
+            if new:
+                out = (self.inputs[k + 1][self.held[k + 1] :][:new]
+                       if k + 1 < len(self.inputs) else self.out[:new])
+                fan_in = fold.layer.weight.shape[1]
+                stacked = _stack(
+                    fold.layer, x[:size],
+                    self.stacked[: new * fan_in].reshape(new, fan_in),
+                )
+                weights, step = self.frame_sliced[k]
+                frontend._sliced_matmul(stacked, weights, out, step)
+                out += fold.bias
+                np.maximum(out, 0.0, out=out)
+            keep = min(size, fold.span)
+            x[:keep] = x[size - keep : size]  # the next chunk's context
+            self.held[k] = keep
+        y = self.out[:new]
+        at = self.fed - context - new  # tape row of y's first row
+        for values, k, a, b in self._finished():
+            if a >= at:
+                rows = y[a - at : b - context - at]
+            else:  # a window straddling chunks: the tail, then y
+                rows = self.joined[: b - context - a]
+                rows[: at - a] = self.tail[a - self.tail_at :
+                                           at - self.tail_at]
+                rows[at - a :] = y[: b - context - at]
+            stats_pool(rows, self.batch[len(self.dest)], self.dev)
+            self.dest.append((values, k))
+            if len(self.dest) == TAP_BATCH:
+                self.flush()
+        if self.windows:  # keep the rows from the next window's start
+            a = self.windows[0][2]
+            kept = max(at - a, 0)  # rows of the tail before y
+            if kept:
+                self.tail[:kept] = self.tail[a - self.tail_at :
+                                             at - self.tail_at]
+            rest = y[max(a - at, 0) :]
+            self.tail[kept : kept + len(rest)] = rest
+            self.tail_at = a
+
+    def _embed(self, pooled: np.ndarray) -> np.ndarray:
+        """_tap in the column slices of _sliced, into tap_out."""
+        weights, spans = self.tap
+        out = self.tap_out[: len(pooled)]
+        for c0, c1 in spans:
+            np.matmul(pooled, weights[:, c0:c1], out=out[:, c0:c1])
+        out += self.net.folded_tap.bias
+        return out
+
+
+def _list(tape: _Tape, rows: np.ndarray, values: np.ndarray,
+          windows: list) -> None:
+    """List windows, (j, a, b) for row j of values on stream rows [a, b),
+    on the tape, and add their rows: each run of overlapping windows as
+    one view of rows."""
+    run = None  # stream rows [a, b) of the current run of the tape
+    for j, a, b in windows:
+        if run is None or a > run[1]:  # start a new run of the tape
+            if run:
+                tape.add(rows[run[0] : run[1]])
+            run, base = [a, b], tape.size - a
+        run[1] = b
+        tape.window(values, j, base + a, base + b)
+    if run:
+        tape.add(rows[run[0] : run[1]])
+
+
+def _ranges(windows: list, cpus: int) -> list:
+    """windows, (j, a, b) in stream order, cut into contiguous ranges of
+    about equal tape rows: as many as cpus, but no more than give each
+    about SPLIT_FRAMES rows. A range's rows are those of its windows, so
+    the rows that the windows at a cut share go on both tapes."""
+    if not windows or windows[-1][2] - windows[0][1] < 2 * SPLIT_FRAMES:
+        return [windows]  # fewer tape rows than two ranges need
+    ends, end, total = [], windows[0][1], 0  # tape rows to each window's end
+    for _, a, b in windows:
+        total += b - max(a, end)
+        end = b
+        ends.append(total)
+    parts = min(cpus, total // SPLIT_FRAMES)
+    cuts = {bisect_left(ends, total * i / parts) for i in range(1, parts)}
+    bounds = sorted({0, *cuts, len(windows)})
+    return [windows[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _split(net: XVectorNet, sliced: tuple, rows: np.ndarray,
+           values: np.ndarray, ranges: list) -> None:
+    """Embed each range of windows (_ranges) on a tape of its own, all
+    writing into values: the first on the calling thread, the rest on
+    worker threads of a per-call ThreadPoolExecutor. Every tape and its
+    buffers are made here, on the calling thread."""
+    tapes = []
+    for windows in ranges:
+        longest = max(b - a for _, a, b in windows)
+        tapes.append(_SplitTape(net, sliced, longest))
+        _list(tapes[-1], rows, values, windows)
+    with ThreadPoolExecutor(len(tapes) - 1) as pool:
+        futures = [pool.submit(t.feed, True) for t in tapes[1:]]
+        tapes[0].feed(final=True)
+        for future in futures:
+            future.result()
 
 
 def extract_streams(
@@ -556,10 +809,13 @@ def extract_streams(
     is embedded once the tap batch holding its last window is tapped, so
     the input is read at most about TAP_BATCH windows ahead. Windows
     shorter than the receptive field go through forward_window's padded
-    path.
+    path. A stream whose tape rows would make more than one _ranges range
+    goes on one _SplitTape per range (_split), if the net's products can
+    be sliced (_sliced), once the streams before it are embedded.
     """
     tape = _Tape(net)
     pending = deque()  # (records, windows listed on the tape when done)
+    cpus = frontend._cpus()
 
     def finished():
         while pending and pending[0][1] <= tape.tapped:
@@ -587,20 +843,21 @@ def extract_streams(
         times = t0 + np.reshape([spans[k] for k in kept], (-1, 2))
         records.window_start_s, records.window_end_s = times.T
         values = records.values
-        run = None  # stream rows [a, b) of the current run of the tape
+        listed = []  # (j, a, b): row j of values, on stream rows [a, b)
         for j, k in enumerate(kept):
             a, b = rows[k]
             if b - a < net.min_frames:
                 values[j] = forward_window(net, feats.rows[a:b])
-                continue
-            if run is None or a > run[1]:  # start a new run of the tape
-                if run:
-                    tape.add(feats.rows[run[0] : run[1]])
-                run, base = [a, b], tape.size - a
-            run[1] = b
-            tape.window(values, j, base + a, base + b)
-        if run:  # a run goes onto the tape as one view of the stream's rows
-            tape.add(feats.rows[run[0] : run[1]])
+            else:
+                listed.append((j, a, b))
+        ranges = _ranges(listed, cpus)
+        sliced = _sliced(net) if len(ranges) > 1 else None
+        if sliced is None:
+            _list(tape, feats.rows, values, listed)
+        else:  # the streams before go out first, in input order
+            tape.feed(final=True)
+            yield from finished()
+            _split(net, sliced, feats.rows, values, ranges)
         pending.append((records, tape.listed))
         tape.feed()
         yield from finished()

@@ -169,6 +169,19 @@ class TestSvmTraining:
             for a, b in zip(history, history[1:]):
                 assert b <= a + 1e-12
 
+    def test_tolerance_scales_with_c(self):
+        # the dual objective grows with C, so on these 40 overlapping rows
+        # a tolerance fixed in absolute terms ran C = 100 out of epochs
+        # (NonConvergence); tolerance * C stops it
+        x, labels = blob_dataset(n_per_class=20, margin=0.05, sigma=0.1,
+                                 dim=8)
+        x += 1.0
+        cfg = TrainConfig(C=100.0)
+        history = []
+        train_linear_svm(x, labels, cfg, history=history)
+        assert len(history) < cfg.max_iter
+        assert history[-2] - history[-1] < cfg.tolerance * cfg.C
+
     def test_deterministic(self):
         x, labels = blob_dataset(n_per_class=30, dim=8, sigma=0.3)
         w1, b1 = train_linear_svm(x, labels, TrainConfig(seed=5))

@@ -693,12 +693,21 @@ class TestSegmentCommand:
         # each run in a fresh interpreter, since OpenBLAS reads its thread
         # count once at load: one BLAS thread, then the library's default
         # (every thread variable it reads removed). Outputs are relative
-        # to the run's directory, so the reports match byte for byte too
+        # to the run's directory, so the reports match byte for byte too.
+        # With tapes of BLOCK_FRAMES rows at the least, the 20 s recording
+        # is long enough that, on more than one CPU, extraction splits its
+        # stream across tapes (xvector._split)
         import speechseg
 
+        audio = tmp_path / "long.wav"
+        assert run(["gen-test-audio", "--out", str(audio),
+                    "--kind", "speech_then_tone", "--speech-s", "10",
+                    "--tone-s", "10", "--seed", "5"]) == 0
         probe = (
             "import sys\n"
+            "from speechseg import xvector\n"
             "from speechseg.cli import main\n"
+            "xvector.SPLIT_FRAMES = xvector.BLOCK_FRAMES\n"
             "audio, net, model = sys.argv[1:]\n"
             "for s in ('xvector_seg_filt', 'baseline'):\n"
             "    assert main(['segment', '--strategy', s, '--audio', audio,\n"
@@ -714,7 +723,7 @@ class TestSegmentCommand:
             cwd = tmp_path / name
             cwd.mkdir()
             proc = subprocess.run(
-                [sys.executable, "-c", probe, str(work / "mix.wav"),
+                [sys.executable, "-c", probe, str(audio),
                  str(work / "net.xvnw"), str(work / "model.json")],
                 env=dict(base, PYTHONPATH=src, **extra), cwd=cwd,
                 capture_output=True, check=True,

@@ -301,6 +301,20 @@ class TestAlignWer:
         assert report.deletions == dels
         assert err <= max(len(ref), len(hyp))
 
+    def test_longer_transcripts_match_oracle(self):
+        # words are coded as integers once: words on one side only, and
+        # words of any script, length and sort order
+        rng = np.random.default_rng(23)
+        vocab = ["the", "a", "über", "o'clock", "re-run", "zz", "ab",
+                 *(f"w{k}" for k in range(23))]
+        for _ in range(4):
+            ref = [vocab[i] for i in rng.integers(0, 20, rng.integers(40, 80))]
+            hyp = [vocab[i] for i in rng.integers(10, 30, rng.integers(0, 80))]
+            report = align_wer(ref, hyp)
+            err, subs, ins, dels = ref_edit_distance(ref, hyp)
+            assert (report.errors, report.substitutions, report.insertions,
+                    report.deletions) == (err, subs, ins, dels)
+
     def test_triangle_sanity(self):
         rng = np.random.default_rng(11)
         vocab = [f"w{k}" for k in range(5)]

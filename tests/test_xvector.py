@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speechseg import xvector
+from speechseg import frontend, xvector
 from speechseg.errors import (
     BadMagic,
     CorruptArchive,
@@ -119,11 +119,15 @@ class TestStatsPool:
             stats_pool(np.zeros((0, 4)))
 
     def test_bits_of_numpy_mean_and_std(self):
-        # windows of one block, as extraction pools them
+        # windows of one block, as extraction pools them, into new arrays
+        # and into a split tape's buffers
         y = np.random.default_rng(1).standard_normal((300, 1500)) ** 3
+        out, scratch = np.empty(3000), np.empty((300, 1500))
         for a, b in ((0, 136), (75, 211), (150, 300), (299, 300)):
             want = np.concatenate([y[a:b].mean(axis=0), y[a:b].std(axis=0)])
             assert stats_pool(y[a:b]).tobytes() == want.tobytes()
+            assert stats_pool(y[a:b], out, scratch) is out
+            assert out.tobytes() == want.tobytes()
 
     @given(t=st.integers(1, 40), d=st.integers(1, 6), seed=st.integers(0, 999))
     @settings(max_examples=40, deadline=None)
@@ -737,6 +741,97 @@ class TestStreams:
         chunks = -(-TAP_BATCH * 150 // BLOCK_FRAMES)
         assert len(pulled) == chunks * BLOCK_FRAMES // 150 + 1 < 100
         assert len(first) == 1
+
+    def test_split_stream_matches_one_tape(self, monkeypatch):
+        # on the 0.3 s / 0.2 s grid, a 16.52 s stream starting at 10 s,
+        # between a 1.5 s stream and a 0.12 s one before it and a 2 s one
+        # and one too short for a window after. keep rejects the windows
+        # starting at 17.6 to 18.4 s, so the split stream's tape is rows
+        # [0, 770) and [860, 1650): two tapes cut where the rejected
+        # windows are, three tapes inside the runs. The 0.12 s stream's
+        # window and the split stream's clamped tail of 0.12 s take the
+        # padded path. Records are byte for byte those of one tape. Tapes
+        # of BLOCK_FRAMES rows, not SPLIT_FRAMES, keep the streams short
+        monkeypatch.setattr(xvector, "SPLIT_FRAMES", BLOCK_FRAMES)
+        net = make_test_net(preset="small")
+        rng = np.random.default_rng(9)
+        streams = [
+            FeatureMatrix(rng.standard_normal((t, 30)), 0.01, start_time_s=s)
+            for t, s in ((150, 0.0), (12, 2.0), (1652, 10.0), (200, 30.0),
+                         (5, 33.0))
+        ]
+
+        def keep(start_s, end_s):
+            return not 17.6 <= start_s < 18.5
+
+        split, ranges = xvector._split, []
+
+        def record(net, sliced, rows, values, cut):
+            ranges.append([(w[0][1], w[-1][2]) for w in cut])
+            split(net, sliced, rows, values, cut)
+
+        monkeypatch.setattr(xvector, "_split", record)
+        got = {}
+        with grid(0.3, 0.2, 0.1):
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+                got[cpus] = list(extract_streams(net, streams, keep))
+        assert ranges == [[(0, 770), (860, 1650)],
+                          [(0, 510), (500, 1110), (1100, 1650)]]
+        assert [len(g) for g in got[1]] == [7, 1, 78, 10, 0]
+        for cpus in (2, 3):
+            assert_same_vectors(got[cpus], got[1])
+        for feats, vecs in zip(streams, got[2]):
+            assert (vecs.window_start_s >= feats.start_time_s).all()
+            shifted = vecs.copy()
+            shifted.window_start_s -= feats.start_time_s
+            shifted.window_end_s -= feats.start_time_s
+            assert_matches_forward(net, feats, shifted)
+
+    def test_split_windows_longer_than_a_chunk(self, monkeypatch):
+        # 12 s windows every 5 s hold 1,200 rows, so a split tape keeps a
+        # window's rows across more than two chunks
+        monkeypatch.setattr(xvector, "SPLIT_FRAMES", BLOCK_FRAMES)
+        net = make_test_net(preset="small")
+        streams = [feats_of(61.23, seed=3)]
+        got = {}
+        with grid(12.0, 5.0, 1.0):
+            for cpus in (1, 2):
+                monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+                got[cpus] = list(extract_streams(net, streams))
+        assert len(got[1][0]) == 11
+        assert_same_vectors(got[2], got[1])
+
+    def test_split_tap_has_no_single_column(self, monkeypatch):
+        # a last frame layer 56 wide gives the tap 112 inputs, so slices
+        # of 73 columns would leave one of 512 over: a gemv. The spans of
+        # frontend._spans never do, and the split records are one tape's
+        monkeypatch.setattr(xvector, "SPLIT_FRAMES", BLOCK_FRAMES)
+        monkeypatch.setitem(xvector._PRESETS, "narrow", (48, 48, 48, 48, 56))
+        net = make_test_net(preset="narrow")
+        *_, (weights, spans) = xvector._sliced(net)
+        assert spans[0][0] == 0 and spans[-1][1] == weights.shape[1]
+        assert all(b - a > 1 for a, b in spans)
+        assert max(b - a for a, b in spans) * TAP_BATCH * 112 <= (
+            frontend._SERIAL_GEMM_MNK
+        )
+        streams = [feats_of(25.0, seed=5)]
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+            got[cpus] = list(extract_streams(net, streams))
+        assert_same_vectors(got[2], got[1])
+
+    @pytest.mark.parametrize("rows, parts", [
+        (2 * xvector.SPLIT_FRAMES - 1, 1), (2 * xvector.SPLIT_FRAMES, 2),
+        (3 * xvector.SPLIT_FRAMES - 1, 2),
+    ])
+    def test_streams_split_from_two_split_frames(self, rows, parts):
+        # 150-row windows every 75 rows, the last one clamped to the end
+        windows = [(j, a, min(a + 150, rows))
+                   for j, a in enumerate(range(0, rows - 75, 75))]
+        assert windows[-1][2] == rows
+        assert len(xvector._ranges(windows, 3)) == parts
 
     def test_dim_mismatch(self):
         streams = [feats_of(1.5), feats_of(1.5, dim=20)]
