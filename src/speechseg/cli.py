@@ -487,8 +487,10 @@ COMMANDS = {
             Opt("manifest", str, help="labeled clip manifest", required=True),
             Opt("net", str, help="TDNN weight file", required=True),
             Opt("out", str, help="output model JSON", required=True),
-            Opt("svm_c", float, 1.0, "SVM regularization constant"),
-            Opt("max_iter", int, 1000, "SVM epoch limit"),
+            Opt("svm_c", float, 1.0, "SVM regularization constant; "
+                "training can take about 1.1 x C epochs"),
+            Opt("max_iter", int, 1000, "SVM epoch limit, NonConvergence "
+                "beyond it: a C above about 900 may need it raised"),
             Opt("tolerance", float, 1e-4,
                 "SVM convergence tolerance, per unit of C"),
             Opt("folds", int, 3, "calibration cross-validation folds"),

@@ -65,14 +65,15 @@ against 1,033-1,104 ms on one tape. On 2 cores (numpy 2.4.6, OpenBLAS
 0.3.31) extracting its seed-7 1,200 s recording with the small net took
 265-273 ms on one tape and 179-188 ms on two.
 
-A _SplitTape repeats _Tape's chunk (carried context, pooling, the rows
-of windows that straddle chunks) in buffers the calling thread makes
-before the workers start, because arrays a worker thread makes land in
-its own glibc arena, which keeps their pages. The shared tape makes its
-arrays per chunk and frees each layer's input once its product exists:
-on the buffered code, with whole products, the standard net's working
-set would stay allocated, and the benchmark's stream-standard workload
-peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13).
+Every tape runs one chunk routine, _Tape._chunk, through three hooks:
+_empty makes its arrays, _product runs its frame-layer products and
+_embed its tap products. The shared tape makes each array for one chunk
+and runs whole products, so a layer's input is freed once its product
+exists; with buffers kept between chunks, the benchmark's stream-standard
+workload peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13). A
+_SplitTape's arrays are views of buffers the calling thread makes before
+the workers start (arrays a worker thread makes land in its own glibc
+arena, which keeps their pages), and its products run in slices.
 
 Files run by segment --jobs each split their own streams, so N jobs can
 run N tapes per CPU; as no split product wakes OpenBLAS's threads, that
@@ -122,6 +123,7 @@ an .xvec archive is one such array behind a header and a CRC.
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from bisect import bisect_left
@@ -423,32 +425,18 @@ def _stack(layer: AffineLayer, x: np.ndarray,
     )
 
 
-def _frame_layers(
-    net: XVectorNet, x: np.ndarray, carry: list | None = None
-) -> np.ndarray:
-    """Frame-layer ReLU outputs for float64 rows x, batch norm left to
-    the layer after: each layer is one product with its folded weights,
-    then bias and ReLU in place, two passes over its output.
-
-    Without carry, x is a whole input of at least min_frames rows, and
-    output row t depends only on input rows t .. t + total_context. With
-    carry, x is the next chunk of a longer input: carry[k] holds the last
-    span input rows of frame layer k from the chunks before (none at the
-    start) and is updated in place, so the output continues theirs and no
-    row is computed twice.
+def _frame_layers(net: XVectorNet, x: np.ndarray) -> np.ndarray:
+    """Frame-layer ReLU outputs for a whole float64 input x of at least
+    min_frames rows, batch norm left to the layer after: output row t
+    depends only on input rows t .. t + total_context. Each layer is one
+    product with its folded weights, then bias and ReLU in place, two
+    passes over its output. This is forward_window's pass; extraction runs
+    the same layers over a tape in chunks (_Tape).
 
     A layer's input is dropped once its stacked copy exists.
     """
-    for k, fold in enumerate(net.folded_frames):
-        layer, span = fold.layer, fold.span
-        if carry is not None:
-            if len(carry[k]):
-                x = np.concatenate([carry[k], x])
-            carry[k] = x[max(len(x) - span, 0):].copy()
-        if len(x) <= span:  # a chunk too short to reach this layer's output
-            x = np.empty((0, layer.out_dim))
-            continue
-        stacked = _stack(layer, x)
+    for fold in net.folded_frames:
+        stacked = _stack(fold.layer, x)
         del x  # not alive while the layer's product is allocated
         x = stacked @ fold.weights()
         del stacked  # not alive while the next layer stacks its input
@@ -534,18 +522,22 @@ class _Tape:
     add appends rows, by reference, and window lists a window on the tape
     rows [a, b) whose embedding goes to row k of values, its stream's
     float32 matrix. feed(final) runs every full chunk of BLOCK_FRAMES new
-    rows through _frame_layers with the carried context, and with final
-    the last short one too. After each chunk, the windows whose rows are
-    all fed stats-pool their rows of the last frame layer's output into
-    the tap batch, and every TAP_BATCH pooled rows take the tap as one
-    product (flush); final taps what is left. tapped counts the windows
-    tapped, in tape order. The output rows of a window not yet finished
-    are kept as the tail.
+    rows through the frame layers (_chunk), and with final the last short
+    one too. After each chunk, the windows whose rows are all fed
+    stats-pool their rows of the last frame layer's output into the tap
+    batch, and every TAP_BATCH pooled rows take the tap as one product
+    (flush); final taps what is left. tapped counts the windows tapped, in
+    tape order. The output rows of a window not yet finished are kept as
+    the tail. A chunk's arrays come from _empty and its products from
+    _product and _embed, the hooks _SplitTape overrides.
     """
 
     def __init__(self, net: XVectorNet):
         self.net = net
-        self.carry = [np.empty((0, l.in_dim)) for l in net.frame_layers]
+        # the last span input rows of each frame layer, in front of its
+        # next chunk's rows; held[k] of carry[k]'s rows are in use
+        self.carry = [np.empty((l.span, l.in_dim)) for l in net.frame_layers]
+        self.held = [0] * len(net.frame_layers)
         self.parts = deque()  # rows added but not yet fed
         self.queued = 0  # rows in parts
         self.size = 0  # rows added
@@ -591,40 +583,75 @@ class _Tape:
             yield self.windows.popleft()
 
     def _chunk(self, n: int) -> None:
-        take = list(self._take(n))
-        context = self.net.total_context
-        y = _frame_layers(
-            self.net,
-            take[0] if len(take) == 1 else np.concatenate(take),
-            self.carry,
-        )
-        del take
-        at = self.fed - context - len(y)  # tape row of y's first row
-        done = list(self._finished())
-        pooled = [
-            stats_pool(
-                y[a - at : b - context - at] if a >= at
-                else np.concatenate(  # a window straddling chunks
-                    [self.tail[a - self.tail_at :], y[: b - context - at]]
-                )
-            )
-            for _, _, a, b in done
-        ]
-        if self.windows:
-            a = self.windows[0][2]
-            if a >= at:
-                self.tail = y[a - at :].copy()
-            else:
-                self.tail = np.concatenate([self.tail[a - self.tail_at :], y])
-            self.tail_at = a
-        else:
-            self.tail = None
-        del y  # not alive during the tap product
+        """Feed the next n queued rows. The last frame layer's output is
+        gone before the finished windows' pooled rows take the tap."""
+        done, pooled = self._pool(self._frames(n))
         for (values, k, _, _), row in zip(done, pooled):
             self.batch[len(self.dest)] = row
             self.dest.append((values, k))
             if len(self.dest) == TAP_BATCH:
                 self.flush()
+
+    def _frames(self, n: int) -> np.ndarray:
+        """The last frame layer's ReLU output for the next n queued rows.
+        Layer k's input is _empty(k): its held context, then the rows the
+        layer before writes after it (k = len(frame_layers): the output).
+        An input is freed once its stacked copy exists."""
+        held = [*self.held, 0]  # context rows in front of each array
+        x = self._empty(0, (held[0] + n, self.net.input_dim))
+        at = held[0]
+        for rows in self._take(n):
+            x[at : at + len(rows)] = rows
+            at += len(rows)
+        for k, fold in enumerate(self.net.folded_frames):
+            layer = fold.layer
+            x[: held[k]] = self.carry[k][: held[k]]
+            keep = min(len(x), fold.span)
+            self.carry[k][:keep] = x[len(x) - keep :]  # the next context
+            self.held[k] = keep
+            new = len(x) - keep  # rows of this layer's output
+            stacked = x
+            if new and len(layer.offsets) > 1:
+                stacked = _stack(layer, x, self._empty(
+                    "stacked", (new, layer.weight.shape[1])))
+            del x
+            x = self._empty(k + 1, (held[k + 1] + new, layer.out_dim))
+            out = x[held[k + 1] :]
+            if new:
+                self._product(k, stacked, out)
+                out += fold.bias
+                np.maximum(out, 0.0, out=out)
+            del stacked, out  # not alive while the next layer stacks
+        return x
+
+    def _pool(self, y: np.ndarray) -> tuple:
+        """The windows that y, the last frame layer's new output rows,
+        finishes, popped, and their pooled rows; the output rows from the
+        next window's start are kept as the tail."""
+        context, width = self.net.total_context, y.shape[1]
+        at = self.fed - context - len(y)  # tape row of y's first row
+        done = list(self._finished())
+        pooled = np.empty((len(done), 2 * width))
+        for row, (_, _, a, b) in zip(pooled, done):
+            if a >= at:
+                rows = y[a - at : b - context - at]
+            else:  # a window straddling chunks: the tail, then y
+                rows = self._empty("joined", (b - context - a, width))
+                rows[: at - a] = self.tail[a - self.tail_at :]
+                rows[at - a :] = y[: b - context - at]
+            stats_pool(rows, row, self._empty("dev", rows.shape))
+        if self.windows:
+            a = self.windows[0][2]
+            kept = max(at - a, 0)  # rows of the tail before y
+            rest = y[max(a - at, 0) :]
+            tail = self._empty("tail", (kept + len(rest), width))
+            if kept:
+                tail[:kept] = self.tail[a - self.tail_at :]
+            tail[kept:] = rest
+            self.tail, self.tail_at = tail, a
+        else:
+            self.tail = None
+        return done, pooled
 
     def flush(self) -> None:
         """The tap on the pooled rows of the batch."""
@@ -636,99 +663,58 @@ class _Tape:
             self.dest.clear()
             self.tapped += n
 
+    def _empty(self, key, shape: tuple) -> np.ndarray:
+        """A float64 array for the chunk's use named key."""
+        return np.empty(shape)
+
+    def _product(self, k: int, stacked: np.ndarray, out: np.ndarray) -> None:
+        """out = stacked @ frame layer k's folded weights, one product."""
+        np.matmul(stacked, self.net.folded_frames[k].weights(), out=out)
+
     def _embed(self, pooled: np.ndarray) -> np.ndarray:
         """The tap on pooled, as one product (_tap)."""
         return _tap(self.net, pooled)
 
 
 class _SplitTape(_Tape):
-    """A _Tape for one range of windows of a split stream (_split): the
-    same arithmetic, with every product in slices under OpenBLAS's
-    threading size (sliced, from _sliced), and no array made per chunk.
-
-    A chunk writes only into buffers made here, on the calling thread:
-    each frame layer's input holds the layer's carried context in front
-    of its new rows, and the layer before writes its output right after
-    that context; the stacked input, the last layer's output, the rows
-    kept for unfinished windows (tail), a straddling window's rows and
-    their deviations, and the tap's output have one buffer each, sized
-    by longest, the most rows of any window listed. Finished windows pool
-    straight into the tap batch. Arrays that a worker thread makes land
-    in its own glibc arena, which keeps their pages: with per-chunk
-    arrays, the long-small benchmark peaked at 138.7-141.7 MB RSS, with
-    these buffers at 134.4-134.6 MB, and on one tape at 133.7-134.1 MB
-    (seed 13, 10 runs each)."""
+    """A _Tape for one range of windows of a split stream (_split), with
+    every product in slices under OpenBLAS's threading size (sliced, from
+    _sliced), and every array of a chunk a view of a buffer made here, on
+    the calling thread, each sized for BLOCK_FRAMES new rows or for
+    longest, the most rows of any window listed. Arrays that a worker
+    thread makes land in its own glibc arena, which keeps their pages:
+    with per-chunk arrays, the long-small benchmark peaked at 138.7-141.7
+    MB RSS, with these buffers at 134.4-134.6 MB, and on one tape at
+    133.7-134.1 MB (seed 13, 10 runs each)."""
 
     def __init__(self, net: XVectorNet, sliced: tuple, longest: int):
         super().__init__(net)
         *self.frame_sliced, self.tap = sliced
         layers = net.frame_layers
-        self.inputs = [np.empty((BLOCK_FRAMES + l.span, l.in_dim))
-                       for l in layers]
-        self.held = [0] * len(layers)  # context rows in front of inputs[k]
-        self.stacked = np.empty(
-            BLOCK_FRAMES * max(l.weight.shape[1] for l in layers)
-        )
         rows, width = max(longest - net.total_context, 1), layers[-1].out_dim
-        self.out = np.empty((BLOCK_FRAMES, width))
-        self.tail = np.empty((rows, width))  # output rows [tail_at, at)
-        self.joined = np.empty((rows, width))
-        self.dev = np.empty((rows, width))
-        self.tap_out = np.empty((TAP_BATCH, net.embedding_dim))
+        sizes = {k: (BLOCK_FRAMES + l.span) * l.in_dim
+                 for k, l in enumerate(layers)}
+        sizes.update({
+            len(layers): BLOCK_FRAMES * width,
+            "stacked": BLOCK_FRAMES * max(l.weight.shape[1] for l in layers),
+            "tail": rows * width, "joined": rows * width, "dev": rows * width,
+            "tap": TAP_BATCH * net.embedding_dim,
+        })
+        self.buffers = {key: np.empty(size) for key, size in sizes.items()}
 
-    def _chunk(self, n: int) -> None:
-        net, context = self.net, self.net.total_context
-        new = 0
-        for rows in self._take(n):
-            start = self.held[0] + new
-            self.inputs[0][start : start + len(rows)] = rows
-            new += len(rows)
-        for k, fold in enumerate(net.folded_frames):
-            x, size = self.inputs[k], self.held[k] + new
-            new = max(size - fold.span, 0)
-            if new:
-                out = (self.inputs[k + 1][self.held[k + 1] :][:new]
-                       if k + 1 < len(self.inputs) else self.out[:new])
-                fan_in = fold.layer.weight.shape[1]
-                stacked = _stack(
-                    fold.layer, x[:size],
-                    self.stacked[: new * fan_in].reshape(new, fan_in),
-                )
-                weights, step = self.frame_sliced[k]
-                frontend._sliced_matmul(stacked, weights, out, step)
-                out += fold.bias
-                np.maximum(out, 0.0, out=out)
-            keep = min(size, fold.span)
-            x[:keep] = x[size - keep : size]  # the next chunk's context
-            self.held[k] = keep
-        y = self.out[:new]
-        at = self.fed - context - new  # tape row of y's first row
-        for values, k, a, b in self._finished():
-            if a >= at:
-                rows = y[a - at : b - context - at]
-            else:  # a window straddling chunks: the tail, then y
-                rows = self.joined[: b - context - a]
-                rows[: at - a] = self.tail[a - self.tail_at :
-                                           at - self.tail_at]
-                rows[at - a :] = y[: b - context - at]
-            stats_pool(rows, self.batch[len(self.dest)], self.dev)
-            self.dest.append((values, k))
-            if len(self.dest) == TAP_BATCH:
-                self.flush()
-        if self.windows:  # keep the rows from the next window's start
-            a = self.windows[0][2]
-            kept = max(at - a, 0)  # rows of the tail before y
-            if kept:
-                self.tail[:kept] = self.tail[a - self.tail_at :
-                                             at - self.tail_at]
-            rest = y[max(a - at, 0) :]
-            self.tail[kept : kept + len(rest)] = rest
-            self.tail_at = a
+    def _empty(self, key, shape: tuple) -> np.ndarray:
+        """A view of the front of buffer key."""
+        return self.buffers[key][: math.prod(shape)].reshape(shape)
+
+    def _product(self, k: int, stacked: np.ndarray, out: np.ndarray) -> None:
+        """_product in the row slices of _sliced."""
+        weights, step = self.frame_sliced[k]
+        frontend._sliced_matmul(stacked, weights, out, step)
 
     def _embed(self, pooled: np.ndarray) -> np.ndarray:
-        """_tap in the column slices of _sliced, into tap_out."""
+        """_tap in the column slices of _sliced."""
         weights, spans = self.tap
-        out = self.tap_out[: len(pooled)]
+        out = self._empty("tap", (len(pooled), weights.shape[1]))
         for c0, c1 in spans:
             np.matmul(pooled, weights[:, c0:c1], out=out[:, c0:c1])
         out += self.net.folded_tap.bias

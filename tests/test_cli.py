@@ -619,6 +619,20 @@ class TestModelCommands:
         assert "error: NonConvergence: " in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("svm_c, code", [("100", 0), ("1000", 1)])
+    def test_train_epochs_grow_with_svm_c(self, work, tmp_path, capsys,
+                                          svm_c, code):
+        # training takes about 1.1 x C epochs: 200 cover C = 100, not
+        # C = 1,000
+        out = tmp_path / "model.json"
+        assert run(["train", "--manifest", str(work / "train.tsv"),
+                    "--net", str(work / "net.xvnw"), "--out", str(out),
+                    "--svm-c", svm_c, "--max-iter", "200"]) == code
+        err = capsys.readouterr().err
+        assert ("error: NonConvergence: " in err) == bool(code)
+        assert "Traceback" not in err
+        assert out.exists() != bool(code)
+
     def test_calibrate_keeps_separator(self, work, tmp_path, run_json):
         out = tmp_path / "recal.json"
         doc = run_json(["calibrate", "--model", str(work / "model.json"),

@@ -431,15 +431,15 @@ class TestExtraction:
         # than BLOCK_FRAMES new rows plus each layer's carried context,
         # however long the stream; and every row goes through once
         passes = []
-        frame_layers = xvector._frame_layers
+        chunk = xvector._Tape._chunk
 
-        def record(net, x, carry=None):
-            passes.append(len(x))
-            assert all(len(c) <= l.span
-                       for c, l in zip(carry, net.frame_layers))
-            return frame_layers(net, x, carry)
+        def record(tape, n):
+            passes.append(n)
+            assert all(h <= l.span
+                       for h, l in zip(tape.held, tape.net.frame_layers))
+            chunk(tape, n)
 
-        monkeypatch.setattr(xvector, "_frame_layers", record)
+        monkeypatch.setattr(xvector._Tape, "_chunk", record)
         feats = feats_of(20.3)
         vecs = extract_sequence(make_test_net(preset="small"), feats)
         rows = [window_rows(feats, v) for v in vecs]
@@ -540,15 +540,15 @@ def assert_matches_forward(net, feats, vecs):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Rows of each chunk fed through the frame layers."""
+    """New rows of each chunk fed through the frame layers."""
     fed = []
-    frame_layers = xvector._frame_layers
+    chunk = xvector._Tape._chunk
 
-    def record(net, x, carry=None):
-        fed.append(len(x))
-        return frame_layers(net, x, carry)
+    def record(tape, n):
+        fed.append(n)
+        chunk(tape, n)
 
-    monkeypatch.setattr(xvector, "_frame_layers", record)
+    monkeypatch.setattr(xvector._Tape, "_chunk", record)
     return fed
 
 
@@ -619,7 +619,8 @@ class TestCarry:
 class TestTapBatch:
     """Windows take the tap in batches of TAP_BATCH."""
 
-    def test_standard_net_stream_over_three_batches(self, passes):
+    def test_standard_net_stream_over_three_batches(self, passes,
+                                                     monkeypatch):
         # 0.3 s windows every 0.2 s keep the oracle cheap: 83 windows on
         # 16.52 s, of which keep rejects 11 in the middle, so the 72 kept
         # ones fill two batches and start a third. Windows straddle the
@@ -633,6 +634,13 @@ class TestTapBatch:
         def keep(start_s, end_s):
             return not 8.0 <= start_s < 10.2
 
+        padded = []
+
+        def record(net, frames):
+            padded.append((len(frames), len(passes)))  # chunks before it
+            return forward_window(net, frames)
+
+        monkeypatch.setattr(xvector, "forward_window", record)
         with grid(0.3, 0.2, 0.1):
             vecs = extract_sequence(net, feats, keep)
         rows = [window_rows(feats, v) for v in vecs]
@@ -640,7 +648,8 @@ class TestTapBatch:
         assert rows[-1][1] - rows[-1][0] < net.min_frames  # padded tail
         # the padded tail alone, then the tape: stream rows [0, 810) and
         # [1020, 1650), so the rejected windows' own rows are never fed
-        assert passes == [net.min_frames, 500, 500, 810 + 1650 - 1020 - 1000]
+        assert padded == [(rows[-1][1] - rows[-1][0], 0)]
+        assert passes == [500, 500, 810 + 1650 - 1020 - 1000]
         context = net.total_context
         ends = np.cumsum(passes) - context  # output rows after each chunk
         assert any(
@@ -705,15 +714,7 @@ class TestStreams:
         assert [len(g) for g in got] == [1, 0, 5, 41, 1, 1, 17]
         assert_same_vectors(got, per_stream(net, streams))
 
-    def test_short_streams_share_blocks(self, monkeypatch):
-        passes = []
-        frame_layers = xvector._frame_layers
-
-        def record(net, x, carry=None):
-            passes.append(len(x))
-            return frame_layers(net, x, carry)
-
-        monkeypatch.setattr(xvector, "_frame_layers", record)
+    def test_short_streams_share_blocks(self, passes):
         # clips of 150 rows, a 1,600-row stream and another clip: one tape
         # of 3,550 rows, cut into chunks wherever BLOCK_FRAMES falls, so
         # chunks hold several clips and clips straddle chunks
@@ -800,6 +801,33 @@ class TestStreams:
                 monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
                 got[cpus] = list(extract_streams(net, streams))
         assert len(got[1][0]) == 11
+        assert_same_vectors(got[2], got[1])
+
+    def test_split_tapes_chunk_in_their_buffers(self, monkeypatch):
+        # every array a split tape's chunk takes is a view of a buffer its
+        # __init__ made on the calling thread: an array a worker thread
+        # made would land in that thread's glibc arena, which keeps its
+        # pages. 25 s of 1.5 s windows on two tapes of 1,250 rows, so
+        # windows straddle chunks, and the records are one tape's
+        monkeypatch.setattr(xvector, "SPLIT_FRAMES", BLOCK_FRAMES)
+        net = make_test_net(preset="small")
+        empty, keys = xvector._SplitTape._empty, set()
+
+        def record(tape, key, shape):
+            out = empty(tape, key, shape)
+            assert np.shares_memory(out, tape.buffers[key])
+            assert out.size <= tape.buffers[key].size
+            keys.add(key)
+            return out
+
+        monkeypatch.setattr(xvector._SplitTape, "_empty", record)
+        streams = [feats_of(25.0, seed=5)]
+        got = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+            got[cpus] = list(extract_streams(net, streams))
+        assert keys == {*range(len(net.frame_layers) + 1), "stacked",
+                        "tail", "joined", "dev", "tap"}
         assert_same_vectors(got[2], got[1])
 
     def test_split_tap_has_no_single_column(self, monkeypatch):
