@@ -92,8 +92,9 @@ def median_filter(track: FrameDecisionTrack, width: int = 5) -> FrameDecisionTra
         raise InvalidConfig("median width must be odd and positive")
     x = track.decisions
     i = np.arange(len(x))
-    # each frame's half-width, shrunken at the edges
-    k = np.minimum(width // 2, np.minimum(i, len(x) - 1 - i))
+    # each frame's half-width, shrunken at the edges; clamped first, so a
+    # width beyond int64 never reaches NumPy
+    k = np.minimum(min(width // 2, len(x)), np.minimum(i, len(x) - 1 - i))
     prefix = np.concatenate([[0], np.cumsum(x, dtype=np.int64)])
     ones = prefix[i + k + 1] - prefix[i - k]  # ones in each window
     return FrameDecisionTrack(2 * ones > 2 * k + 1, track.frame_period_s)

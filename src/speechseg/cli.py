@@ -722,6 +722,8 @@ def _resolve(args) -> dict:
             )
     if cfg.get("jobs") is not None and cfg["jobs"] < 1:
         raise UsageError("--jobs must be at least 1")
+    if cfg.get("seed") is not None and cfg["seed"] < 0:  # np.random's rule
+        raise UsageError("--seed must be at least 0")
     return cfg
 
 

@@ -27,13 +27,16 @@ rows into the next chunk, so every frame-layer row is computed once and
 shared by the windows that read it, as in Peddinti et al. 2015 ("A time
 delay neural network architecture for efficient modeling of long
 temporal contexts"). Memory stays flat however long the stream. Short
-streams (manifest clips, baseline VAD regions) share chunks; a window
-that straddles two chunks pools the last frame layer's output it kept
-from the one before. The windows a chunk finishes stats-pool their rows
-into a batch, and every TAP_BATCH of them take the tap (the first
-segment affine) as one matrix product. A window the caller's keep
-predicate rejects is left out of the tape, so its rows never reach the
-frame layers unless a kept window needs them.
+streams (manifest clips, baseline VAD regions) share chunks. The last
+frame layer carries its output rows from the first unfinished window's
+start into the next chunk, as each layer carries its context, so a
+window pools one slice of that output however many chunks it straddles.
+The windows a chunk finishes stats-pool their rows into a batch, and
+every TAP_BATCH of them take the tap (the first segment affine) as one
+matrix product. A window the caller's keep predicate rejects is left out
+of the tape, so its rows never reach the frame layers unless a kept
+window needs them. forward_window runs the same pass, on a tape of its
+one window.
 
 On the small net a long stream runs on one tape per CPU the process may
 use (frontend._cpus), as compute_mfcc does. extract_streams cuts the
@@ -66,11 +69,12 @@ against 1,033-1,104 ms on one tape. On 2 cores (numpy 2.4.6, OpenBLAS
 265-273 ms on one tape and 179-188 ms on two.
 
 Every tape runs one chunk routine, _Tape._chunk, through three hooks:
-_empty makes its arrays, _product runs its frame-layer products and
-_embed its tap products. The shared tape makes each array for one chunk
-and runs whole products, so a layer's input is freed once its product
-exists; with buffers kept between chunks, the benchmark's stream-standard
-workload peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13). A
+_empty makes its arrays, each the front of one of the sizes of
+_Tape._sizes, _product runs its frame-layer products and _embed its tap
+products. The shared tape makes each array for one chunk and runs whole
+products, so a layer's input is freed once its product exists; with
+buffers kept between chunks, the benchmark's stream-standard workload
+peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13). A
 _SplitTape's arrays are views of buffers the calling thread makes before
 the workers start (arrays a worker thread makes land in its own glibc
 arena, which keeps their pages), and its products run in slices.
@@ -100,19 +104,21 @@ changes an embedding in any case measured, but that rests on the
 float32 cast, not on equal float64 bits. The fold rounds differently
 from (r - mean) / std, and BLAS picks its summation kernel by the shape
 of a product: a row of a wide frame layer can get other last bits in a
-chunk than in a per-window pass, and a batch of windows at the tap other
-last bits than one window's product. On a 60 s stream of 79 windows,
-every float64 embedding of the small net and of the standard net
-differed from forward_window's in the last bits, with one BLAS thread or
-two; every float32 embedding was equal. What is checked bit for bit:
-every small-net window against a per-window pass and packed against one
-stream at a time, a few standard-net streams and chunk edges against
-both, a standard-net stream over three tap batches against the
-per-window pass, a stream split across two and three tapes against one
+chunk of the stream's tape than in forward_window's tape of one window,
+and a batch of windows at the tap other last bits than one window's
+product. On a 60 s stream of 79 windows, every float64 embedding of the
+small net and of the standard net differed from forward_window's in the
+last bits, with one BLAS thread or two; every float32 embedding was
+equal. What is checked bit for bit: every small-net window against
+forward_window and packed against one stream at a time, a few
+standard-net streams and chunk edges against both, a standard-net
+stream over three tap batches against forward_window, records at chunk
+sizes from 2 rows to a little over a window against those of the
+default size, a stream split across two and three tapes against one
 tape (tests/test_xvector.py), and the artifacts of the benchmark's four
 workloads. The tests also hold embeddings within tolerance of the
-unfolded oracle: every window of that stream, and some windows of the
-others.
+unfolded oracle: every window of that stream and of a standard-net
+stream in 7-row chunks, and some windows of the others.
 
 Weights live as float32; arithmetic runs in float64. load_weights returns
 them as read-only views of the file's bytes, which it reads once.
@@ -410,48 +416,14 @@ def _pad_to(x: np.ndarray, need: int) -> np.ndarray:
     return np.pad(x, ((left, missing - left), (0, 0)), mode="edge")
 
 
-def _stack(layer: AffineLayer, x: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """The input of a frame layer's product: the rows of x at each of its
-    offsets side by side (into out if given), or x itself for a single
-    offset."""
-    if len(layer.offsets) == 1:
-        return x
+def _stack(layer: AffineLayer, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The input of a frame layer's product, into out: the rows of x at
+    each of its offsets side by side."""
     lo = min(layer.offsets)
-    t_out = len(x) - (max(layer.offsets) - lo)
     return np.concatenate(
-        [x[off - lo : off - lo + t_out] for off in layer.offsets],
+        [x[off - lo : off - lo + len(out)] for off in layer.offsets],
         axis=1, out=out,
     )
-
-
-def _frame_layers(net: XVectorNet, x: np.ndarray) -> np.ndarray:
-    """Frame-layer ReLU outputs for a whole float64 input x of at least
-    min_frames rows, batch norm left to the layer after: output row t
-    depends only on input rows t .. t + total_context. Each layer is one
-    product with its folded weights, then bias and ReLU in place, two
-    passes over its output. This is forward_window's pass; extraction runs
-    the same layers over a tape in chunks (_Tape).
-
-    A layer's input is dropped once its stacked copy exists.
-    """
-    for fold in net.folded_frames:
-        stacked = _stack(fold.layer, x)
-        del x  # not alive while the layer's product is allocated
-        x = stacked @ fold.weights()
-        del stacked  # not alive while the next layer stacks its input
-        x += fold.bias
-        np.maximum(x, 0.0, out=x)
-    return x
-
-
-def _tap(net: XVectorNet, pooled: np.ndarray) -> np.ndarray:
-    """Embeddings of the rows of pooled (the stats-pooled ReLU outputs of
-    the last frame layer, one row per window): the first segment affine,
-    with the last batch norm folded in, as one product."""
-    out = pooled @ net.folded_tap.weights()
-    out += net.folded_tap.bias
-    return out
 
 
 def _sliced(net: XVectorNet) -> tuple | None:
@@ -483,8 +455,11 @@ def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
         raise DimMismatch(
             f"net expects {net.input_dim}-dim frames, got {x.shape[1]}"
         )
-    pooled = stats_pool(_frame_layers(net, _pad_to(x, net.min_frames)))
-    return _tap(net, pooled[None])[0]
+    x = _pad_to(x, net.min_frames)
+    out, tape = np.empty((1, net.embedding_dim)), _Tape(net)
+    _list(tape, x, out, [(0, 0, len(x))])
+    tape.feed(final=True)
+    return out[0]
 
 
 def _window_grid(feats: FeatureMatrix):
@@ -521,14 +496,14 @@ class _Tape:
 
     add appends rows, by reference, and window lists a window on the tape
     rows [a, b) whose embedding goes to row k of values, its stream's
-    float32 matrix. feed(final) runs every full chunk of BLOCK_FRAMES new
-    rows through the frame layers (_chunk), and with final the last short
-    one too. After each chunk, the windows whose rows are all fed
-    stats-pool their rows of the last frame layer's output into the tap
-    batch, and every TAP_BATCH pooled rows take the tap as one product
-    (flush); final taps what is left. tapped counts the windows tapped, in
-    tape order. The output rows of a window not yet finished are kept as
-    the tail. A chunk's arrays come from _empty and its products from
+    float32 matrix (forward_window's: one float64 row). feed(final) runs
+    every full chunk of BLOCK_FRAMES new rows through the frame layers
+    (_chunk), and with final the last short one too. After each chunk,
+    the windows whose rows are all fed stats-pool their slice of the last
+    frame layer's output, which starts with the tail, into the tap batch,
+    and every TAP_BATCH pooled rows take the tap as one product (flush);
+    final taps what is left. tapped counts the windows tapped, in tape
+    order. A chunk's arrays come from _empty and its products from
     _product and _embed, the hooks _SplitTape overrides.
     """
 
@@ -544,8 +519,12 @@ class _Tape:
         self.fed = 0  # rows fed
         self.windows = deque()  # (values, k, a, b), in tape order
         self.listed = 0  # windows listed
-        self.tail = None  # output rows [tail_at, fed - context)
+        # the last frame layer's output rows from the first unfinished
+        # window's start, tape row tail_at, in front of its next rows
+        self.tail = np.empty((0, net.frame_layers[-1].out_dim))
         self.tail_at = 0
+        self.longest = 0  # rows of the longest window listed
+        self.sizes = self._sizes()
         self.batch = np.empty((TAP_BATCH, 2 * net.frame_layers[-1].out_dim))
         self.dest = []  # (values, k) of each batch row in use
         self.tapped = 0
@@ -558,6 +537,9 @@ class _Tape:
     def window(self, values: np.ndarray, k: int, a: int, b: int) -> None:
         self.windows.append((values, k, a, b))
         self.listed += 1
+        if b - a > self.longest:
+            self.longest = b - a
+            self.sizes = self._sizes()
 
     def feed(self, final: bool = False) -> None:
         while self.queued >= BLOCK_FRAMES or (final and self.queued):
@@ -593,19 +575,21 @@ class _Tape:
                 self.flush()
 
     def _frames(self, n: int) -> np.ndarray:
-        """The last frame layer's ReLU output for the next n queued rows.
-        Layer k's input is _empty(k): its held context, then the rows the
-        layer before writes after it (k = len(frame_layers): the output).
-        An input is freed once its stacked copy exists."""
-        held = [*self.held, 0]  # context rows in front of each array
-        x = self._empty(0, (held[0] + n, self.net.input_dim))
-        at = held[0]
+        """The last frame layer's ReLU output from tape row tail_at, with
+        the next n queued rows fed. Layer k's input is _empty(k): its held
+        context, then the rows the layer before writes after it; likewise
+        the output (k = len(frame_layers)) with the tail. An input is
+        freed once its stacked copy exists, the tail once it is copied."""
+        fronts = [*(c[:h] for c, h in zip(self.carry, self.held)), self.tail]
+        self.tail = None
+        at = len(fronts[0])
+        x = self._empty(0, (at + n, self.net.input_dim))
+        x[:at] = fronts[0]
         for rows in self._take(n):
             x[at : at + len(rows)] = rows
             at += len(rows)
         for k, fold in enumerate(self.net.folded_frames):
             layer = fold.layer
-            x[: held[k]] = self.carry[k][: held[k]]
             keep = min(len(x), fold.span)
             self.carry[k][:keep] = x[len(x) - keep :]  # the next context
             self.held[k] = keep
@@ -615,8 +599,11 @@ class _Tape:
                 stacked = _stack(layer, x, self._empty(
                     "stacked", (new, layer.weight.shape[1])))
             del x
-            x = self._empty(k + 1, (held[k + 1] + new, layer.out_dim))
-            out = x[held[k + 1] :]
+            held = len(fronts[k + 1])
+            x = self._empty(k + 1, (held + new, layer.out_dim))
+            x[:held] = fronts[k + 1]
+            fronts[k + 1] = None  # the tail is not alive through the product
+            out = x[held:]
             if new:
                 self._product(k, stacked, out)
                 out += fold.bias
@@ -625,32 +612,19 @@ class _Tape:
         return x
 
     def _pool(self, y: np.ndarray) -> tuple:
-        """The windows that y, the last frame layer's new output rows,
-        finishes, popped, and their pooled rows; the output rows from the
-        next window's start are kept as the tail."""
-        context, width = self.net.total_context, y.shape[1]
-        at = self.fed - context - len(y)  # tape row of y's first row
+        """The windows that y, the last frame layer's output from tape row
+        tail_at, finishes, popped, and their pooled rows. y's rows from the
+        next window's start, or none, are kept as the tail."""
+        at, end = self.tail_at, self.tail_at + len(y)
+        context = self.net.total_context
         done = list(self._finished())
-        pooled = np.empty((len(done), 2 * width))
+        pooled = np.empty((len(done), 2 * y.shape[1]))
         for row, (_, _, a, b) in zip(pooled, done):
-            if a >= at:
-                rows = y[a - at : b - context - at]
-            else:  # a window straddling chunks: the tail, then y
-                rows = self._empty("joined", (b - context - a, width))
-                rows[: at - a] = self.tail[a - self.tail_at :]
-                rows[at - a :] = y[: b - context - at]
+            rows = y[a - at : b - context - at]
             stats_pool(rows, row, self._empty("dev", rows.shape))
-        if self.windows:
-            a = self.windows[0][2]
-            kept = max(at - a, 0)  # rows of the tail before y
-            rest = y[max(a - at, 0) :]
-            tail = self._empty("tail", (kept + len(rest), width))
-            if kept:
-                tail[:kept] = self.tail[a - self.tail_at :]
-            tail[kept:] = rest
-            self.tail, self.tail_at = tail, a
-        else:
-            self.tail = None
+        self.tail_at = min(self.windows[0][2], end) if self.windows else end
+        self.tail = self._empty("tail", (end - self.tail_at, y.shape[1]))
+        self.tail[:] = y[self.tail_at - at :]
         return done, pooled
 
     def flush(self) -> None:
@@ -663,44 +637,63 @@ class _Tape:
             self.dest.clear()
             self.tapped += n
 
+    def _sizes(self) -> dict:
+        """The float64 values of each array a chunk asks _empty for, by
+        key: a frame layer's input (k) for BLOCK_FRAMES new rows and its
+        context, the output (k = len(frame_layers)) for those and the tail,
+        stacked inputs, the tail and pooling scratch for the longest
+        window listed, and a batch of tap output."""
+        layers = self.net.frame_layers
+        rows = max(self.longest - self.net.total_context, 1)
+        width = layers[-1].out_dim
+        sizes = {k: (BLOCK_FRAMES + l.span) * l.in_dim
+                 for k, l in enumerate(layers)}
+        sizes.update({
+            len(layers): (BLOCK_FRAMES + rows) * width,
+            "stacked": BLOCK_FRAMES * max(l.weight.shape[1] for l in layers),
+            "tail": rows * width, "dev": rows * width,
+            "tap": TAP_BATCH * self.net.embedding_dim,
+        })
+        return sizes
+
     def _empty(self, key, shape: tuple) -> np.ndarray:
-        """A float64 array for the chunk's use named key."""
-        return np.empty(shape)
+        """The front of a new float64 array of key's size (_sizes), so a
+        chunk asks malloc for the sizes the chunk before freed: glibc
+        reuses a freed block only for a request of its size. With arrays
+        of each chunk's own sizes, the benchmark's clips-train workload
+        peaked at 51.8-51.9 MB RSS, with these at 50.8-51.1 MB (seed 7,
+        5 runs each)."""
+        return np.empty(self.sizes[key])[: math.prod(shape)].reshape(shape)
 
     def _product(self, k: int, stacked: np.ndarray, out: np.ndarray) -> None:
         """out = stacked @ frame layer k's folded weights, one product."""
         np.matmul(stacked, self.net.folded_frames[k].weights(), out=out)
 
     def _embed(self, pooled: np.ndarray) -> np.ndarray:
-        """The tap on pooled, as one product (_tap)."""
-        return _tap(self.net, pooled)
+        """Embeddings of the rows of pooled, one per window: the tap (the
+        first segment affine, with the last batch norm folded in) as one
+        product."""
+        out = pooled @ self.net.folded_tap.weights()
+        out += self.net.folded_tap.bias
+        return out
 
 
 class _SplitTape(_Tape):
     """A _Tape for one range of windows of a split stream (_split), with
     every product in slices under OpenBLAS's threading size (sliced, from
     _sliced), and every array of a chunk a view of a buffer made here, on
-    the calling thread, each sized for BLOCK_FRAMES new rows or for
-    longest, the most rows of any window listed. Arrays that a worker
-    thread makes land in its own glibc arena, which keeps their pages:
-    with per-chunk arrays, the long-small benchmark peaked at 138.7-141.7
-    MB RSS, with these buffers at 134.4-134.6 MB, and on one tape at
-    133.7-134.1 MB (seed 13, 10 runs each)."""
+    the calling thread, one of each of the sizes of _sizes for longest,
+    the most rows of any window listed. Arrays that a worker thread makes
+    land in its own glibc arena, which keeps their pages: with per-chunk
+    arrays, the long-small benchmark peaked at 138.7-141.7 MB RSS, with
+    these buffers at 134.4-134.6 MB, and on one tape at 133.7-134.1 MB
+    (seed 13, 10 runs each)."""
 
     def __init__(self, net: XVectorNet, sliced: tuple, longest: int):
         super().__init__(net)
         *self.frame_sliced, self.tap = sliced
-        layers = net.frame_layers
-        rows, width = max(longest - net.total_context, 1), layers[-1].out_dim
-        sizes = {k: (BLOCK_FRAMES + l.span) * l.in_dim
-                 for k, l in enumerate(layers)}
-        sizes.update({
-            len(layers): BLOCK_FRAMES * width,
-            "stacked": BLOCK_FRAMES * max(l.weight.shape[1] for l in layers),
-            "tail": rows * width, "joined": rows * width, "dev": rows * width,
-            "tap": TAP_BATCH * net.embedding_dim,
-        })
-        self.buffers = {key: np.empty(size) for key, size in sizes.items()}
+        self.longest = longest
+        self.buffers = {key: np.empty(n) for key, n in self._sizes().items()}
 
     def _empty(self, key, shape: tuple) -> np.ndarray:
         """A view of the front of buffer key."""

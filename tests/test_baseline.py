@@ -101,6 +101,14 @@ class TestMedianFilter:
         assert len(got) == n
         assert np.isin(got, (0, 1)).all()
 
+    def test_width_beyond_int64(self):
+        # clamped to the track before NumPy sees it, so it filters as any
+        # width of at least 2 n + 1 does
+        bits = np.random.default_rng(4).integers(0, 2, 50)
+        got = median_filter(track(bits), width=10**23 + 1).decisions
+        want = median_filter(track(bits), width=2 * 50 + 1).decisions
+        assert got.tolist() == want.tolist() == ref_median_filter(bits, 101)
+
     def test_even_width_rejected(self):
         with pytest.raises(InvalidConfig):
             median_filter(track([0, 1]), width=4)

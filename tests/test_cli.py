@@ -267,6 +267,30 @@ class TestConfigResolution:
         assert named in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("command", ["gen-test-model", "gen-test-audio",
+                                         "train", "reduce", "split"])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_rejected(self, work, tmp_path, capsys, command,
+                                    how):
+        # np.random.default_rng takes no negative seed
+        if command in INVOCATIONS:
+            argv = invocation(work, tmp_path, command, {})
+        else:
+            argv = [command, "--out", str(tmp_path / "out")]
+            if command == "gen-test-audio":
+                argv += ["--kind", "tone"]
+        if how == "flag":
+            argv += ["--seed", "-4"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"seed": -4}', encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error: --seed must be at least 0" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         hyp, cond = self.hyp_files(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -688,6 +712,19 @@ class TestSegmentCommand:
             encoding="utf-8"
         ).splitlines():
             assert self.LOG_LINE.match(line), line
+
+    def test_median_width_beyond_int64(self, work, tmp_path, run_json):
+        # no track is that long: the segments of any width past twice the
+        # track's frames
+        tsv = {}
+        for width in ("100000000000000000000001", "100001"):
+            doc = run_json(["segment", "--strategy", "baseline",
+                            "--audio", str(work / "mix.wav"),
+                            "--net", str(work / "net.xvnw"),
+                            "--out", str(tmp_path / width),
+                            "--median-width", width])
+            tsv[width] = Path(doc["files"][0]["tsv"]).read_bytes()
+        assert tsv["100000000000000000000001"] == tsv["100001"]
 
     def test_reruns_byte_identical(self, work, tmp_path, run_json):
         docs = []

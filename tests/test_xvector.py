@@ -616,6 +616,57 @@ class TestCarry:
         assert sum(passes) == 300 + 375
 
 
+@contextmanager
+def block_frames(rows):
+    """Extraction in chunks of rows new tape rows, not BLOCK_FRAMES."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xvector, "BLOCK_FRAMES", rows)
+        yield
+
+
+class TestChunkSize:
+    """Any chunk size gives the same records. With chunks shorter than a
+    window, each window straddles many chunks, and the last frame layer's
+    output carries its rows from one chunk to the next."""
+
+    @given(
+        rows=st.integers(2, 160),
+        frames=st.lists(st.integers(30, 400), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(rows=2, frames=[330], seed=0)
+    @example(rows=3, frames=[151, 40, 149], seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_small_net(self, rows, frames, seed):
+        # records byte for byte those of the default chunks and of
+        # forward_window, both taken before the chunk size changes
+        net = make_test_net(preset="small")
+        rng = np.random.default_rng(seed)
+        streams = [FeatureMatrix(rng.standard_normal((t, 30)), 0.01)
+                   for t in frames]
+        want = list(extract_streams(net, streams))
+        for feats, vecs in zip(streams, want):
+            assert_matches_forward(net, feats, vecs)
+        with block_frames(rows):
+            got = list(extract_streams(net, streams))
+        assert_same_vectors(got, want)
+
+    def test_standard_net(self):
+        # 7-row chunks over 3.2 s: three 1.5 s windows and a clamped tail
+        # of 0.95 s, each over more than a dozen chunks
+        net = make_test_net(seed=3)
+        feats = feats_of(3.2, seed=4)
+        want = extract_sequence(net, feats)
+        with block_frames(7):
+            got = extract_sequence(net, feats)
+        assert_same_vectors([got], [want])
+        assert_matches_forward(net, feats, got)
+        for v in got:
+            a, b = window_rows(feats, v)
+            ref = ref_forward_xvector(net_to_plain(net), feats.rows[a:b])
+            np.testing.assert_allclose(v.values, ref, rtol=1e-5, atol=1e-8)
+
+
 class TestTapBatch:
     """Windows take the tap in batches of TAP_BATCH."""
 
@@ -646,12 +697,13 @@ class TestTapBatch:
         rows = [window_rows(feats, v) for v in vecs]
         assert 3 * TAP_BATCH > len(vecs) == 72 > 2 * TAP_BATCH
         assert rows[-1][1] - rows[-1][0] < net.min_frames  # padded tail
-        # the padded tail alone, then the tape: stream rows [0, 810) and
-        # [1020, 1650), so the rejected windows' own rows are never fed
+        # the padded tail alone, on a tape of its own min_frames rows, then
+        # the tape: stream rows [0, 810) and [1020, 1650), so the rejected
+        # windows' own rows are never fed
         assert padded == [(rows[-1][1] - rows[-1][0], 0)]
-        assert passes == [500, 500, 810 + 1650 - 1020 - 1000]
+        assert passes == [net.min_frames, 500, 500, 810 + 1650 - 1020 - 1000]
         context = net.total_context
-        ends = np.cumsum(passes) - context  # output rows after each chunk
+        ends = np.cumsum(passes[1:]) - context  # output rows after each chunk
         assert any(
             a < e < b - context for e in ends for a, b in rows if b <= 810
         )
@@ -815,7 +867,7 @@ class TestStreams:
 
         def record(tape, key, shape):
             out = empty(tape, key, shape)
-            assert np.shares_memory(out, tape.buffers[key])
+            assert out.base is tape.buffers[key]
             assert out.size <= tape.buffers[key].size
             keys.add(key)
             return out
@@ -827,7 +879,7 @@ class TestStreams:
             monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
             got[cpus] = list(extract_streams(net, streams))
         assert keys == {*range(len(net.frame_layers) + 1), "stacked",
-                        "tail", "joined", "dev", "tap"}
+                        "tail", "dev", "tap"}
         assert_same_vectors(got[2], got[1])
 
     def test_split_tap_has_no_single_column(self, monkeypatch):
