@@ -636,6 +636,7 @@ class TestChunkSize:
     )
     @example(rows=2, frames=[330], seed=0)
     @example(rows=3, frames=[151, 40, 149], seed=1)
+    @example(rows=5, frames=[60, 330], seed=2)  # a longer window comes later
     @settings(max_examples=30, deadline=None)
     def test_small_net(self, rows, frames, seed):
         # records byte for byte those of the default chunks and of
