@@ -26,6 +26,10 @@ EXAGGERATION_ITERS = 250
 # Floor of the step size; it holds for N up to 4 * 12 * 50 = 2,400 points.
 MIN_LEARNING_RATE = 50.0
 KL_CHECKPOINT_EVERY = 100
+# The perplexity search stops once a row's entropy is within this of
+# log(perplexity), or after this many halvings and doublings of beta.
+ENTROPY_TOL = 1e-5
+MAX_BETA_STEPS = 100
 _PROB_FLOOR = 1e-12
 
 
@@ -87,8 +91,6 @@ def pca_reduce(x: np.ndarray, target_variance: float = 0.95) -> PcaResult:
 def calibrate_conditionals(
     sq_dists: np.ndarray,
     perplexity: float,
-    tol: float = 1e-5,
-    max_steps: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point Gaussian conditionals whose entropy matches log(perplexity).
 
@@ -105,10 +107,10 @@ def calibrate_conditionals(
         d = d - d.min()  # shift leaves the entropy unchanged
         beta, lo, hi = 1.0, 0.0, np.inf
         p = np.exp(-beta * d)
-        for _ in range(max_steps):
+        for _ in range(MAX_BETA_STEPS):
             sum_p = p.sum()
             h = np.log(sum_p) + beta * float(d @ p) / sum_p
-            if abs(h - target_h) < tol:
+            if abs(h - target_h) < ENTROPY_TOL:
                 break
             if h > target_h:
                 lo = beta

@@ -83,16 +83,17 @@ but held the GIL too often to pay (0.15 -> 0.14 s).
 
 CMVN recomputes the moments of a window whose variance is near zero with
 an exact two-pass sum over its 301 rows. In digital silence most such
-windows hold one repeated row, bit for bit the rows of the flagged
-window before them, so they take its moments instead. Array operations
-per block decide which flagged windows do: those with the start of the
-flagged window before, and those whose rows are one run of bit-equal
-rows (one pass numbers the runs) with the row the window before
-repeated, the last flagged window carried across blocks. Only the first
-window of each such chain is recomputed, and the rest take its moments:
-on a 20-minute benchmark recording 746 of 3,040 flagged windows. The
-heads are summed one window at a time, over a view: gathering 4 windows
-per sum saved 3 ms per 20-minute pass but copied 0.5 MB more.
+windows hold one repeated row, so each block gives its flagged windows a
+key: the id of the run of bit-equal rows that holds all 301 rows (one
+pass numbers the runs), else the window's start. Windows with one key
+hold the same bits, so only the first window of each key in the block is
+recomputed and the rest take its moments. Nothing but the running sums
+crosses blocks, so a run that spans several blocks is recomputed once in
+each: the 20-minute benchmark recording recomputes 751 of its 3,040
+flagged windows with distinct starts for seed 7 (749 of 3,038 for seed
+13), 5 more than a chain carried across blocks. The recomputed windows
+are summed one at a time, over a view: gathering 4 windows per sum saved
+3 ms per 20-minute pass but copied 0.5 MB more.
 
 The analysis settings are module constants: 25 ms frames every 10 ms,
 pre-emphasis 0.97, 40 mel bins from 20 Hz, 30 cepstra, and a 301-frame
@@ -629,10 +630,6 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
         s2 = np.empty_like(s1)
         s1[0] = s2[0] = 0.0
         p0 = p1 = 0
-        # the start, whether its rows are one run, and the moments of the
-        # last flagged window, carried from block to block
-        last, last_flat = -1, False
-        last_mean = last_var = np.zeros(x.shape[1])
         for b0, b1 in blocks:
             lo = np.maximum(
                 0, np.minimum(np.arange(b0, b1) - half, T - window_frames)
@@ -671,35 +668,26 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
 
             # windows whose variance sits near the rounding floor get an exact
             # two-pass recompute; cancellation there can fake a nonzero std.
-            # A flagged window whose chunk has the bits of the flagged window
-            # before it (the same start, or both inside one run of a
-            # repeated row) takes its moments, so only the first window of
-            # each such chain is recomputed; run numbers the runs of
-            # bit-equal rows
+            # Flagged windows with one key hold the same bits: the key is
+            # the id of the run of bit-equal rows that holds all 301 rows
+            # (run numbers the runs), else the window's start. Only the
+            # first window of each key is recomputed, and the rest take its
+            # moments
             flagged = np.nonzero((var < guard).any(axis=1))[0]
             if len(flagged):
                 rows = x[start:stop]
                 run = np.cumsum(np.concatenate(
                     ([False], ~_same_rows(rows[1:], rows[:-1]))
                 ))
-                a = lo[flagged]
-                flat = run[at[flagged]] == run[to[flagged] - 1]
-                before = np.concatenate(([last], a[:-1]))
-                reuse = (a == before) | (
-                    flat & np.concatenate(([last_flat], flat[:-1]))
-                    & _same_rows(x[a], x[before])
+                first = run[at[flagged]]
+                flat = first == run[to[flagged] - 1]
+                key = np.where(flat, -1 - first, lo[flagged])
+                _, heads, which = np.unique(
+                    key, return_index=True, return_inverse=True
                 )
-                # row 0 holds the moments carried from the block before;
-                # chain[i] is the row whose moments flagged window i takes
-                heads_mean, heads_var = _window_moments(x, a[~reuse])
-                moments_mean = np.concatenate((last_mean[None], heads_mean))
-                moments_var = np.concatenate((last_var[None], heads_var))
-                chain = np.cumsum(~reuse)
-                mean[flagged] = moments_mean[chain]
-                var[flagged] = moments_var[chain]
-                last, last_flat = a[-1], flat[-1]
-                last_mean = moments_mean[chain[-1]]
-                last_var = moments_var[chain[-1]]
+                heads_mean, heads_var = _window_moments(x, lo[flagged[heads]])
+                mean[flagged] = heads_mean[which]
+                var[flagged] = heads_var[which]
             _normalize(out[b0:b1], x[b0:b1], mean, np.sqrt(var, out=var))
 
     constant = x.max(axis=0) == x.min(axis=0)

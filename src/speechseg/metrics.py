@@ -34,6 +34,11 @@ CONDITIONS = (
     "no_speech",
 )
 SPEECH_CONDITIONS = CONDITIONS[:3]
+# the longest frame grid that scoring builds: a grid costs about 137 B per
+# frame through condition_frames, rasterize and frame_vad_eval, so 10**7
+# frames (27.8 h at 10 ms) take about 1.4 GB, and a tiny period is refused
+# before it asks for terabytes
+MAX_GRID_FRAMES = 10**7
 
 
 # -----------------------------------------------------------------------------
@@ -49,10 +54,11 @@ def _frame_total(duration_s: float, period_s: float) -> int:
         )
     # ceil(duration/period), robust to duration being a rounded multiple
     frames = np.ceil(duration_s / period_s - 1e-9)
-    if not frames < np.iinfo(np.intp).max:
+    if not frames <= MAX_GRID_FRAMES:
         raise InvalidConfig(
             f"duration {duration_s} s at a {period_s} s frame period gives "
-            f"{frames} frames, more than an index can count"
+            f"{frames:.0f} frames, more than the {MAX_GRID_FRAMES} a frame "
+            f"grid may hold"
         )
     return int(frames)
 

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import zlib
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -979,6 +980,28 @@ class TestEvalCommands:
         assert code == 1
         assert "InvalidConfig" in err and "frame period" in err
         assert "Traceback" not in err
+
+    def test_eval_vad_grid_past_the_cap_allocates_nothing(
+        self, tmp_path, capsys
+    ):
+        # an hour at 1e-9 s is 3.6e12 frames, hundreds of terabytes of grid
+        hyp = tmp_path / "hyp.tsv"
+        cond = tmp_path / "cond.tsv"
+        hyp.write_text("0.0\t4.0\tspeech\n", encoding="utf-8")
+        cond.write_text("0.0\t4.0\tclean_speech\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = run(["eval-vad", "--hyp", str(hyp),
+                        "--conditions", str(cond),
+                        "--duration", "3600", "--period", "1e-9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "InvalidConfig" in err and "Traceback" not in err
+        assert "3600" in err and "1e-09" in err and "3600000000000" in err
+        assert peak < 2**20
 
     def test_eval_vad_exact_hypothesis(self, tmp_path, run_json):
         hyp = tmp_path / "hyp.tsv"

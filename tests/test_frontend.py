@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechseg import frontend
@@ -380,6 +380,47 @@ def cmvn_bytes(x):
     return apply_cmvn(FeatureMatrix(x, 0.01)).rows.tobytes()
 
 
+def run_then_column():
+    """Rows 100-499 repeat one row and column 1 repeats its value on to
+    row 799: windows starting at 100-199 lie in the run, and those
+    starting at 200-499 are flagged, but reach past it."""
+    x = np.random.default_rng(5).standard_normal((900, 2))
+    x[100:500] = 0.5, 1.0
+    x[500:800, 1] = 1.0
+    return x
+
+
+@st.composite
+def rows_with_runs(draw):
+    """A T x D matrix longer than the CMVN window, with up to four runs of
+    one repeated row written over it: shorter and longer than the window,
+    at either end, at the last run's start or anywhere. A run repeats a
+    new row, the row before it (so it joins that row's run), or a signed
+    zero, whose bits differ from the other zero's. Some of its columns may
+    go on repeating past its end: a window that starts in the run and
+    reaches into that stretch is flagged, but its rows are not one run."""
+    t = draw(st.integers(302, 1200))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((t, d))
+    at = 0
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(2, 700))
+        at = draw(st.sampled_from([0, t - size, at]) | st.integers(0, t))
+        at = max(at, 0)
+        kind = draw(st.sampled_from(["new", "before", "+0", "-0"]))
+        if kind == "new":
+            row = rng.standard_normal(d)
+        elif kind == "before":
+            row = x[max(at - 1, 0)].copy()
+        else:
+            row = np.full(d, 0.0 if kind == "+0" else -0.0)
+        x[at : at + size] = row
+        cols = draw(st.sampled_from([slice(0, 1), slice(1, None)]))
+        x[at + size : at + size + draw(st.integers(0, 400)), cols] = row[cols]
+    return x
+
+
 class TestBlocks:
     def test_blocks_match_one_block_pass(self, monkeypatch):
         audio = speech_tone_silence(20.0, 15.0)
@@ -469,25 +510,42 @@ class TestBlocks:
         assert apply_cmvn(feats).rows.tobytes() == got.tobytes()
         np.testing.assert_allclose(got, ref_cmvn(feats.rows, 301), atol=1e-9)
 
-    def test_reuse_chain_crosses_block_boundaries(self, monkeypatch):
+    def test_run_is_recomputed_once_per_block(self, monkeypatch):
         # rows 500-1199 repeat one row, far from the rows around them, so
         # the windows of frames 650-1049 (starts 500-899) are the flagged
-        # ones: one chain across four 100-row block boundaries, one
-        # recompute, and the rest reuse it
+        # ones, all inside one run: one recompute in each of the five
+        # 100-row blocks they fall in, and the rest of each block reuse it
         x = np.random.default_rng(8).standard_normal((1500, 2))
         x[500:1200] = 3.0, -3.0
         monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 100)
         recomputes = count_recomputes(monkeypatch)
         got = cmvn_bytes(x)
-        assert sum(recomputes) == 1
+        assert sum(recomputes) == 5
         monkeypatch.setattr(frontend, "_same_rows", never_same)
         assert cmvn_bytes(x) == got
-        assert sum(recomputes) == 1 + 400
+        assert sum(recomputes) == 5 + 400
         monkeypatch.undo()
         monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
         assert cmvn_bytes(x) == got
         np.testing.assert_allclose(
             np.frombuffer(got).reshape(x.shape), ref_cmvn(x, 301), atol=1e-9
+        )
+
+    @given(x=rows_with_runs(), block=st.integers(2, 700))
+    @example(x=run_then_column(), block=64)
+    @settings(max_examples=60, deadline=None)
+    def test_runs_keep_the_bytes_in_any_blocks(self, x, block):
+        # a flagged window that takes another's moments must hold that
+        # window's bits, wherever the runs and the block edges fall
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", 10**9)
+            whole = cmvn_bytes(x)
+            patch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", block)
+            assert cmvn_bytes(x) == whole
+            patch.setattr(frontend, "_same_rows", never_same)
+            assert cmvn_bytes(x) == whole
+        np.testing.assert_allclose(
+            np.frombuffer(whole).reshape(x.shape), ref_cmvn(x, 301), atol=1e-9
         )
 
     @pytest.mark.parametrize("block", [50, 10**9])
@@ -504,8 +562,10 @@ class TestBlocks:
         recomputes = count_recomputes(monkeypatch)
         got = cmvn_bytes(x)
         # starts 400 (the run's head), then 500-899, one window each; the
-        # windows of frames 1050-1199 all start at 899
-        assert sum(recomputes) == 1 + 400
+        # windows of frames 1050-1199 all start at 899. Each block
+        # recomputes its own: with 50-row blocks the run's windows fall in
+        # two blocks, and the windows starting at 899 in four
+        assert sum(recomputes) == (1 + 400 if block > 1200 else 2 + 400 + 3)
         monkeypatch.setattr(frontend, "_same_rows", never_same)
         assert cmvn_bytes(x) == got
         np.testing.assert_allclose(

@@ -101,9 +101,13 @@ class TestRasterize:
         assert condition_frames(segs, period, n * period) == (
             ref_condition_frames(labeled, period, n))
 
+    # the last three ask for more frames than MAX_GRID_FRAMES: one more
+    # than it, 3.6e12 and an infinite count; each is refused before any
+    # grid is allocated
     @pytest.mark.parametrize("period,duration", [
         (0.0, 2.0), (-0.01, 2.0), (0.01, -1.0), (float("nan"), 2.0),
-        (0.01, float("nan")),
+        (0.01, float("nan")), (0.01, 100_000.01), (1e-9, 3600.0),
+        (0.01, float("inf")),
     ])
     @pytest.mark.parametrize("grid", [rasterize, condition_frames])
     def test_bad_grid_rejected(self, grid, period, duration):
