@@ -21,55 +21,30 @@ and AudioBuffer.decoded turns one span of them into float64 when a block
 reads it, so no front-end path holds a float64 copy of a whole
 recording: for PCM16 input that copy would be four times the file.
 
-compute_mfcc splits the frames into blocks of MFCC_BLOCK_FRAMES (240)
-and the blocks into one contiguous range per CPU the process may use
-(os.sched_getaffinity), each range on a worker thread of a per-call
-ThreadPoolExecutor; an input of one block, which covers every 1.5 s
-clip, or a process on one CPU runs inline. NumPy's FFT, elementwise and
-BLAS calls release the GIL, so on 2 cores the MFCC of a 20-minute
-recording takes 0.21-0.24 s against 0.37-0.40 s before the workers. A
-worker decodes, pre-emphasizes, frames and transforms one block of
-samples at a time; a block's first pre-emphasized sample looks back at
-the sample before the block, as the whole-signal filter does, and every
-worker writes its rows straight into the one output matrix. The caller
-allocates every worker's buffers, and every step writes into them with
-out=: the decoded and the pre-emphasized samples, the windowed frames in
-a zero-padded nfft-wide buffer, the spectrum (rfft's out=, new in NumPy
-2.0), the power spectrum, the mel energies and their log, and the
-cepstra. A fresh temporary per step and block costs more than the
-arithmetic it holds (pre-emphasizing one 512-frame block took 0.82 ms
-with new arrays and 0.15 ms with buffers), and buffers made inside the
-workers land in glibc's per-thread arenas: they raised the peak RSS of
-three 4 x 60 s segment passes from 77.5 to 84.2 MB, where the caller's
-buffers read 77.5 MB against 76.8 MB before the workers. At 16 kHz one
-worker's buffers take about 3.2 MB, so two workers hold less than the
-one 512-frame set and the FFT output before them (tracemalloc: 6.1 MB
-beyond the output, against 6.3).
+compute_mfcc splits the frames into blocks of MFCC_BLOCK_FRAMES (240),
+and the blocks into one contiguous range per CPU, each a cpu.run job
+(speechseg.cpu sets out the rules they keep); a 1.5 s clip is one block.
+On 2 cores the MFCC of a 20-minute recording takes 0.21-0.24 s against
+0.37-0.40 s on one thread. A job writes each block's rows straight into
+the output, and every step of a block into its buffers (_mfcc_buffers,
+about 3.2 MB at 16 kHz) with out= (rfft has it from NumPy 2.0): a fresh
+temporary per step and block costs more than the arithmetic it holds
+(pre-emphasizing one 512-frame block took 0.82 ms with new arrays and
+0.15 ms with buffers).
 
 The mel product (257 -> 40 at 16 kHz) and the DCT (40 -> 30) run in
-slices of 24 rows, so M*N*K stays at or under 4 * 65536, the size up to
-which OpenBLAS runs a gemm on the calling thread (interface/gemm.c).
-Whole-block products go to OpenBLAS's threads, whose helper busy-waits
-between a block's two small products: on one thread it burned 0.36 s of
-CPU beside a 0.37 s MFCC call of a 20-minute recording, and two workers
-on whole 240-row products took 0.46-0.53 s against 0.37-0.39 s on one (2
-cores, medians of 7 calls). With the slices no helper thread runs at all
-(per-thread CPU time), and two workers take 0.21 s. The whole slices of
-a block go to one stacked matmul, which calls BLAS once per slice
-without a Python call each. Two prototypes lost to the slices: workers
-computing spectra while the main thread alone ran the products
-(0.49-0.60 s where the slices took 0.31-0.41 s in the same probe), and
-mel energies without BLAS (gather plus reduceat: 1.33 ms per block
-against 0.17 ms). Slices change an MFCC's last bits against whole-block
-products, by up to 3e-16 relative, and they are why rows do not depend
-on block size or worker count: with scipy-openblas 0.3.31 a mel row has
-the same bits in any slice of 2 to 30 rows but not in a 1-row product (a
-gemv) or one of 31 rows or more, and a DCT row the same bits only in
-slices of a multiple of 4 rows up to 40. So slices start at multiples of
-24 from frame 0, every block but the last is a multiple of 24 rows, and
-a last slice or block of one row joins the one before it, so no product
-takes a single row unless T is 1. _mfcc_constants derives the slice
-height from the FFT size, so other rates keep under the size too.
+slices of 24 rows (cpu.sliced_matmul). Two prototypes lost to the
+slices: workers computing spectra while the main thread alone ran the
+products (0.49-0.60 s where the slices took 0.31-0.41 s in the same
+probe), and mel energies without BLAS (gather plus reduceat: 1.33 ms
+per block against 0.17 ms). Slices change an MFCC's last bits against
+whole-block products, by up to 3e-16 relative, and they are why rows do
+not depend on block size or CPU count: with scipy-openblas 0.3.31 a mel
+row has the same bits in any slice of 2 to 30 rows but not in one of 31
+rows or more, and a DCT row the same bits only in slices of a multiple
+of 4 rows up to 40. So slices start at multiples of 24 from frame 0,
+every block but the last is a multiple of 24 rows, and a last slice or
+block of one row joins the one before it.
 
 apply_cmvn runs in blocks of FRONTEND_BLOCK_FRAMES (512) rows on one
 thread, in about 1.2 MB beyond the output at 16 kHz. It streams its
@@ -106,15 +81,14 @@ a frame of 2 samples and a shift of 1 is rejected there.
 from __future__ import annotations
 
 import functools
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import cpu
 from .errors import (
     AudioTooShort,
     ChannelMismatch,
@@ -137,12 +111,8 @@ CMVN_WINDOW_FRAMES = 301
 # size a front end of about 100 MB
 MAX_SAMPLE_RATE_HZ = 384_000
 
-# frames per block of compute_mfcc, on each worker thread
+# frames per block of compute_mfcc, in each cpu.run job
 MFCC_BLOCK_FRAMES = 240
-# OpenBLAS runs a gemm whose M*N*K is at most SMP_THRESHOLD_MIN (65536)
-# times GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread alone
-# (interface/gemm.c)
-_SERIAL_GEMM_MNK = 4 * 65536
 # rows per block of apply_cmvn (and of the baseline's energy VAD)
 FRONTEND_BLOCK_FRAMES = 512
 
@@ -405,23 +375,6 @@ def _hamming(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))
 
 
-def _spans(n: int, step: int) -> list[tuple[int, int]]:
-    """[start, stop) spans of step rows from row 0 that cover range(n); a
-    last span of one row joins the span before it, so no matrix product
-    takes a single row (BLAS would take it as a gemv) unless n is 1."""
-    cuts = [*range(0, n, step), n]
-    if len(cuts) > 2 and n - cuts[-2] == 1:
-        del cuts[-2]
-    return list(zip(cuts, cuts[1:]))
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _pre_emphasized(
     audio: AudioBuffer, a: int, b: int, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
@@ -443,10 +396,10 @@ def _pre_emphasized(
 def _mfcc_constants(sample_rate: int) -> tuple:
     """(frame_len, shift, nfft, slice_rows, window, fbank, dct) for one
     sample rate, built once; the arrays are read-only, since every caller
-    shares them. slice_rows is the largest multiple of 4 (at least 2) whose
-    mel product, with one row more, stays at or under _SERIAL_GEMM_MNK: 24
-    at 16 kHz. A rate whose frame is shorter than 2 samples (a 1-sample
-    Hamming window is 0/0) or whose shift rounds to 0 is rejected."""
+    shares them. slice_rows is the largest multiple of 4 (at least 2)
+    within cpu.slice_limit of the mel product: 24 at 16 kHz. A rate
+    whose frame is shorter than 2 samples (a 1-sample Hamming window is
+    0/0) or whose shift rounds to 0 is rejected."""
     frame_len = round(FRAME_LENGTH_MS * sample_rate / 1000.0)
     shift = round(FRAME_SHIFT_MS * sample_rate / 1000.0)
     if frame_len < 2 or shift < 1:
@@ -457,7 +410,7 @@ def _mfcc_constants(sample_rate: int) -> tuple:
     nfft = 1
     while nfft < frame_len:
         nfft *= 2
-    fit = _SERIAL_GEMM_MNK // (NUM_MEL_BINS * (nfft // 2 + 1)) - 1
+    fit = cpu.slice_limit(NUM_MEL_BINS * (nfft // 2 + 1))
     slice_rows = max(fit // 4 * 4, 2)
     arrays = (
         _hamming(frame_len),
@@ -472,7 +425,7 @@ def _mfcc_constants(sample_rate: int) -> tuple:
 
 
 def _mfcc_buffers(rows: int, frame_len: int, shift: int, nfft: int) -> tuple:
-    """One worker's buffers for blocks of up to rows frames: decoded and
+    """One job's buffers for blocks of up to rows frames: decoded and
     pre-emphasized samples, zero-padded frames, spectrum, power, mel."""
     samples = (rows - 1) * shift + frame_len
     return (
@@ -483,27 +436,11 @@ def _mfcc_buffers(rows: int, frame_len: int, shift: int, nfft: int) -> tuple:
     )
 
 
-def _sliced_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                   rows: int) -> None:
-    """out = a @ b as products over the _spans(len(a), rows) row spans of
-    a: the spans of exactly rows rows as one stacked matmul, which runs
-    one BLAS product per span without a Python call each, then a last
-    span of another length. a and out are C-contiguous row slices."""
-    first, last = _spans(len(a), rows)[-1]
-    cut = last if last - first == rows else first
-    if cut:
-        np.matmul(a[:cut].reshape(-1, rows, a.shape[1]), b,
-                  out=out[:cut].reshape(-1, rows, out.shape[1]))
-    if cut < len(a):
-        np.matmul(a[cut:], b, out=out[cut:])
-
-
 def _mfcc_range(audio: AudioBuffer, blocks: list[tuple[int, int]],
                 buffers: tuple, ceps: np.ndarray) -> None:
     """Write the MFCC rows of every block in blocks into ceps, through the
-    caller's buffers; the mel and DCT products run slice_rows rows at a
-    time, in slices that start at multiples of slice_rows from frame 0
-    (every block starts at one)."""
+    caller's buffers, with the mel and DCT products in slices of
+    slice_rows rows from each block's start, a multiple of slice_rows."""
     frame_len, shift, _, slice_rows, window, fbank, dct = _mfcc_constants(
         audio.sample_rate
     )
@@ -513,23 +450,23 @@ def _mfcc_range(audio: AudioBuffer, blocks: list[tuple[int, int]],
         y = _pre_emphasized(audio, f0 * shift, (f1 - 1) * shift + frame_len,
                             decoded, emphasized)
         # np.multiply would pass these strided rows through 192 KB of
-        # iterator buffers per call, which two workers can hold at once;
+        # iterator buffers per call, which two jobs can hold at once;
         # einsum writes each product straight into the output
         np.einsum("ij,j->ij", sliding_window_view(y, frame_len)[::shift],
                   window, out=padded[:m, :frame_len])
         np.fft.rfft(padded[:m], axis=1, out=spectrum[:m])
         np.abs(spectrum[:m], out=power[:m])
         np.square(power[:m], out=power[:m])
-        _sliced_matmul(power[:m], fbank.T, mel[:m], slice_rows)
+        cpu.sliced_matmul(power[:m], fbank.T, mel[:m], slice_rows)
         np.maximum(mel[:m], LOG_ENERGY_FLOOR, out=mel[:m])
         np.log(mel[:m], out=mel[:m])
-        _sliced_matmul(mel[:m], dct.T, ceps[f0:f1], slice_rows)
+        cpu.sliced_matmul(mel[:m], dct.T, ceps[f0:f1], slice_rows)
 
 
 def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
     """MFCC rows for every frame of ``audio``, computed one block of
-    frames at a time on one worker thread per CPU; deterministic, and
-    byte-identical for any block size and worker count."""
+    frames at a time in one cpu.run job per CPU; deterministic, and
+    byte-identical for any block size and CPU count."""
     n = len(audio.samples)
     # checked before the constants, which grow with the rate a header
     # claims: a few samples at 4 GHz would build a 21 GB mel filterbank
@@ -541,21 +478,16 @@ def compute_mfcc(audio: AudioBuffer) -> FeatureMatrix:
     T = frame_count(n, frame_len, shift)
     ceps = np.empty((T, NUM_CEPS))
     # blocks of whole slices, so no slice depends on where blocks start
-    blocks = _spans(T, max(MFCC_BLOCK_FRAMES // slice_rows, 1) * slice_rows)
-    workers = min(_cpus(), len(blocks))
-    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    step = max(MFCC_BLOCK_FRAMES // slice_rows, 1) * slice_rows
+    blocks = cpu.spans(T, step)
+    jobs = min(cpu.count(), len(blocks))
+    cuts = [len(blocks) * i // jobs for i in range(jobs + 1)]
     rows = max(b - a for a, b in blocks)
-    jobs = [
+    cpu.run([
         functools.partial(_mfcc_range, audio, blocks[a:b],
                           _mfcc_buffers(rows, frame_len, shift, nfft), ceps)
         for a, b in zip(cuts, cuts[1:])
-    ]
-    if workers == 1:
-        jobs[0]()
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(job) for job in jobs]:
-                future.result()
+    ])
     return FeatureMatrix(ceps, FRAME_SHIFT_MS / 1000.0)
 
 
@@ -610,7 +542,7 @@ def apply_cmvn(feats: FeatureMatrix) -> FeatureMatrix:
         # prefix sums over globally centered data give O(T*D) windowed
         # moments; centering keeps the E[z^2]-E[z]^2 cancellation small
         center = x.mean(axis=0)
-        blocks = _spans(T, FRONTEND_BLOCK_FRAMES)
+        blocks = cpu.spans(T, FRONTEND_BLOCK_FRAMES)
         sq = None
         for b0, b1 in blocks:
             z = x[b0:b1] - center

@@ -38,52 +38,32 @@ of the tape, so its rows never reach the frame layers unless a kept
 window needs them. forward_window runs the same pass, on a tape of its
 one window.
 
-On the small net a long stream runs on one tape per CPU the process may
-use (frontend._cpus), as compute_mfcc does. extract_streams cuts the
-stream's windows into contiguous ranges of about equal tape rows, no
-more ranges than CPUs and none of fewer than about SPLIT_FRAMES rows, so
-a stream splits once its kept windows cover 2 x SPLIT_FRAMES rows (15
-minutes at 10 ms); every shorter stream (clips, VAD regions) stays on
-the shared tape. A split pays a fixed cost, which OpenBLAS's helper
-threads raise while they still spin after the shared tape's threaded
-products, so a shorter stream would gain only while they are idle (see
-SPLIT_FRAMES). Each range gets a _SplitTape of its own: one runs on the
-calling thread, the rest on a per-call ThreadPoolExecutor, and all write
-into the stream's one record array. A range's tape holds the rows of its
-windows, so only the rows that the windows at a cut share go through the
-frame layers twice. The shared tape is fed to its end first, so streams
-still come out in input order, and the keep predicate, the padded
-windows and the non-finite check stay on the calling thread.
+On the small net a long stream runs on one tape per CPU, each tape a
+cpu.run job (speechseg.cpu sets out the rules they keep): _ranges cuts
+a stream whose kept windows cover 2 x SPLIT_FRAMES rows (15 minutes at
+10 ms) into ranges of windows, and each range gets a _SplitTape of its
+own, all writing into the stream's one record array. Shorter streams
+(clips, VAD regions) stay on the shared tape (SPLIT_FRAMES says why).
+The shared tape is fed to its end first, so streams still come out in
+input order, and the keep predicate, the padded windows and the
+non-finite check stay on the calling thread.
 
-Two tapes pay only while neither wakes OpenBLAS's threads, so a split
-tape runs each frame layer in row slices (frontend._sliced_matmul) and
-the tap in column slices, every product at or under the size OpenBLAS
-runs on the calling thread, with the weights cast once per stream
-(_sliced). A stream is split only when every frame layer's product of
-two rows fits that size: the small net's widest layer (48 x 256) does;
-the standard net's 1,536 x 512 does not, and its products already keep
-both cores busy through OpenBLAS: extracting the benchmark's seed-7
-4 x 60 s with two standard-net tapes per stream took 1,182-1,326 ms
-against 1,033-1,104 ms on one tape. On 2 cores (numpy 2.4.6, OpenBLAS
-0.3.31) extracting its seed-7 1,200 s recording with the small net took
-265-273 ms on one tape and 179-188 ms on two.
+A split tape runs each frame layer in row slices and the tap in column
+slices, with the weights cast once per stream (_sliced). A stream is
+split only when every frame layer's product of two rows fits
+cpu.SERIAL_GEMM_MNK: the small net's widest layer (48 x 256) does; the
+standard net's 1,536 x 512 does not, and its products already keep both
+cores busy through OpenBLAS: extracting the benchmark's seed-7 4 x 60 s
+with two standard-net tapes per stream took 1,182-1,326 ms against
+1,033-1,104 ms on one tape. On 2 cores (numpy 2.4.6, OpenBLAS 0.3.31)
+extracting its seed-7 1,200 s recording with the small net took 265-273
+ms on one tape and 179-188 ms on two.
 
-Every tape runs one chunk routine, _Tape._chunk, through three hooks:
-_empty makes its arrays, each the front of one of the sizes of
-_Tape._sizes, _product runs its frame-layer products and _embed its tap
-products. The shared tape makes each array for one chunk and runs whole
-products, so a layer's input is freed once its product exists; with
+The shared tape runs whole products (in slices, packed streams gave
+other records than one stream at a time) and makes each array for one
+chunk, so a layer's input is freed once its product exists; with
 buffers kept between chunks, the benchmark's stream-standard workload
-peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13). A
-_SplitTape's arrays are views of buffers the calling thread makes before
-the workers start (arrays a worker thread makes land in its own glibc
-arena, which keeps their pages), and its products run in slices.
-
-Files run by segment --jobs each split their own streams, so N jobs can
-run N tapes per CPU; as no split product wakes OpenBLAS's threads, that
-still gained on 2 cores: segmenting two copies of the benchmark's
-1,200 s recording with --jobs 2 took 1,048-1,136 ms on split tapes against 1,293-1,442 ms
-on one tape each (--jobs 1: 1,111-1,118 ms against 1,292-1,306 ms).
+peaked at 94.1-94.3 MB RSS against 77.8-77.9 MB (seed 13).
 
 Batch norm is folded into the affine after it, as is usual for
 inference (Jacob et al. 2018, "Quantization and training of neural
@@ -109,16 +89,16 @@ and a batch of windows at the tap other last bits than one window's
 product. On a 60 s stream of 79 windows, every float64 embedding of the
 small net and of the standard net differed from forward_window's in the
 last bits, with one BLAS thread or two; every float32 embedding was
-equal. What is checked bit for bit: every small-net window against
-forward_window and packed against one stream at a time, a few
-standard-net streams and chunk edges against both, a standard-net
-stream over three tap batches against forward_window, records at chunk
-sizes from 2 rows to a little over a window against those of the
-default size, a stream split across two and three tapes against one
-tape (tests/test_xvector.py), and the artifacts of the benchmark's four
-workloads. The tests also hold embeddings within tolerance of the
-unfolded oracle: every window of that stream and of a standard-net
-stream in 7-row chunks, and some windows of the others.
+equal. What is checked bit for bit, for a given CPU count: every
+small-net window against forward_window and packed against one stream at
+a time, a few standard-net streams and chunk edges against both, a
+standard-net stream over three tap batches against forward_window,
+records at chunk sizes from 2 rows to a little over a window against
+those of the default size, and the artifacts of the benchmark's four
+workloads; a stream split across tapes is held within one float32 ulp of
+one tape (speechseg.cpu). The tests also hold embeddings within
+tolerance of the unfolded oracle: every window of that stream and of a
+standard-net stream in 7-row chunks, and some windows of the others.
 
 Weights live as float32; arithmetic runs in float64. load_weights returns
 them as read-only views of the file's bytes, which it reads once.
@@ -129,20 +109,20 @@ an .xvec archive is one such array behind a header and a CRC.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import frontend
+from . import cpu
 from .errors import (
     BadMagic,
     CorruptArchive,
@@ -344,6 +324,8 @@ class XVectorNet:
                 continue
             if layer.kind == "segment" and layer.offsets != (0,):
                 raise DimMismatch("segment layers take a single zero offset")
+            if not layer.offsets:
+                raise DimMismatch("frame layer has no context offset")
             if layer.in_dim != cur:
                 raise DimMismatch(
                     f"layer expects input dim {layer.in_dim}, chain gives {cur}"
@@ -362,6 +344,10 @@ class XVectorNet:
             if (layer.bn_var < 0).any():
                 raise NonFiniteWeight("negative batch-norm variance")
             cur = layer.out_dim
+        width = layers[pool_at + 1].out_dim
+        if width != EMBEDDING_DIM:
+            raise DimMismatch(f"embedding layer is {width} wide; x-vectors "
+                              f"are {EMBEDDING_DIM} wide")
 
     @property
     def input_dim(self) -> int:
@@ -428,22 +414,16 @@ def _stack(layer: AffineLayer, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _sliced(net: XVectorNet) -> tuple | None:
     """(float64 weights, rows per slice) of each frame layer, then the
-    tap's (weights, column spans), for products that stay at or under
-    the size up to which OpenBLAS runs a gemm on the calling thread: a
-    frame layer's slice, with one row more, and the tap's slice over
-    TAP_BATCH rows, with one column more. The column spans are those of
-    frontend._spans, so no slice is a single column (a gemv). None, with
-    nothing cast, when a frame layer's product of two rows or the tap's
-    of two columns is above that size: the standard net's 1,536 x 512
-    layer is."""
-    size = frontend._SERIAL_GEMM_MNK
+    tap's (weights, column spans) over TAP_BATCH rows, each slice within
+    cpu.slice_limit; None, with nothing cast, if a frame layer's product
+    of two rows or the tap's of two columns does not fit (standard net)."""
     tap = net.folded_tap.layer.weight
-    step = [size // f.layer.weight.size - 1 for f in net.folded_frames]
-    cols = size // (TAP_BATCH * tap.shape[1]) - 1
+    step = [cpu.slice_limit(f.layer.weight.size) for f in net.folded_frames]
+    cols = cpu.slice_limit(TAP_BATCH * tap.shape[1])
     if min(*step, cols) < 1:
         return None
     return (*((f.weights(), n) for f, n in zip(net.folded_frames, step)),
-            (net.folded_tap.weights(), frontend._spans(tap.shape[0], cols)))
+            (net.folded_tap.weights(), cpu.spans(tap.shape[0], cols)))
 
 
 def forward_window(net: XVectorNet, frames: np.ndarray) -> np.ndarray:
@@ -679,15 +659,11 @@ class _Tape:
 
 
 class _SplitTape(_Tape):
-    """A _Tape for one range of windows of a split stream (_split), with
-    every product in slices under OpenBLAS's threading size (sliced, from
-    _sliced), and every array of a chunk a view of a buffer made here, on
-    the calling thread, one of each of the sizes of _sizes for longest,
-    the most rows of any window listed. Arrays that a worker thread makes
-    land in its own glibc arena, which keeps their pages: with per-chunk
-    arrays, the long-small benchmark peaked at 138.7-141.7 MB RSS, with
-    these buffers at 134.4-134.6 MB, and on one tape at 133.7-134.1 MB
-    (seed 13, 10 runs each)."""
+    """A _Tape for one range of windows of a split stream (_split): its
+    products run in the slices of _sliced, and every array of a chunk is a
+    view of a buffer made here, on the calling thread, for longest, the
+    most rows of any window listed. The long-small benchmark peaked at
+    134.4-134.6 MB RSS on these, 133.7-134.1 MB on one tape (seed 13)."""
 
     def __init__(self, net: XVectorNet, sliced: tuple, longest: int):
         super().__init__(net)
@@ -702,7 +678,7 @@ class _SplitTape(_Tape):
     def _product(self, k: int, stacked: np.ndarray, out: np.ndarray) -> None:
         """_product in the row slices of _sliced."""
         weights, step = self.frame_sliced[k]
-        frontend._sliced_matmul(stacked, weights, out, step)
+        cpu.sliced_matmul(stacked, weights, out, step)
 
     def _embed(self, pooled: np.ndarray) -> np.ndarray:
         """_tap in the column slices of _sliced."""
@@ -751,20 +727,15 @@ def _ranges(windows: list, cpus: int) -> list:
 
 def _split(net: XVectorNet, sliced: tuple, rows: np.ndarray,
            values: np.ndarray, ranges: list) -> None:
-    """Embed each range of windows (_ranges) on a tape of its own, all
-    writing into values: the first on the calling thread, the rest on
-    worker threads of a per-call ThreadPoolExecutor. Every tape and its
+    """Embed each range of windows (_ranges) on a tape of its own, one
+    cpu.run job each, all writing into values. Every tape and its
     buffers are made here, on the calling thread."""
     tapes = []
     for windows in ranges:
         longest = max(b - a for _, a, b in windows)
         tapes.append(_SplitTape(net, sliced, longest))
         _list(tapes[-1], rows, values, windows)
-    with ThreadPoolExecutor(len(tapes) - 1) as pool:
-        futures = [pool.submit(t.feed, True) for t in tapes[1:]]
-        tapes[0].feed(final=True)
-        for future in futures:
-            future.result()
+    cpu.run([functools.partial(t.feed, final=True) for t in tapes])
 
 
 def extract_streams(
@@ -794,7 +765,6 @@ def extract_streams(
     """
     tape = _Tape(net)
     pending = deque()  # (records, windows listed on the tape when done)
-    cpus = frontend._cpus()
 
     def finished():
         while pending and pending[0][1] <= tape.tapped:
@@ -829,7 +799,7 @@ def extract_streams(
                 values[j] = forward_window(net, feats.rows[a:b])
             else:
                 listed.append((j, a, b))
-        ranges = _ranges(listed, cpus)
+        ranges = _ranges(listed, cpu.count())
         sliced = _sliced(net) if len(ranges) > 1 else None
         if sliced is None:
             _list(tape, feats.rows, values, listed)

@@ -435,6 +435,47 @@ class TestFrontendCommands:
         assert "InvalidConfig" in err
 
 
+def write_layers(path, layers, seed=0):
+    """A checksummed weight file of one record per layer, written as
+    load_weights reads it, since save_weights needs a valid net. A layer
+    is "pool", or (tag, offsets, in_dim, out_dim) for a frame (tag 0) or
+    segment (tag 2) layer with random parameters."""
+    rng = np.random.default_rng(seed)
+    parts = [WEIGHTS_MAGIC, struct.pack("<HH", WEIGHTS_VERSION, len(layers))]
+    for layer in layers:
+        if layer == "pool":
+            parts.append(struct.pack("<B", 1))
+            continue
+        tag, offsets, d_in, d_out = layer
+        parts.append(struct.pack(f"<BB{len(offsets)}hII", tag, len(offsets),
+                                 *offsets, d_in, d_out))
+        for n in (d_out * d_in * len(offsets), d_out, d_out):
+            parts.append(rng.standard_normal(n).astype("<f4").tobytes())
+        parts.append(rng.uniform(0.5, 1.5, d_out).astype("<f4").tobytes())
+    body = b"".join(parts)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+@st.composite
+def layer_specs(draw):
+    """write_layers specs: frame layers whose offsets may be empty,
+    unsorted or repeated, of odd and even widths, a pool, and segment
+    layers whose embedding may be other than 512 wide."""
+    offsets = st.lists(st.integers(-3, 3), max_size=4).map(tuple)
+    d = draw(st.sampled_from([30, 30, 7]))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 9))
+        layers.append((0, draw(offsets), d, width))
+        d = width
+    emb = draw(st.sampled_from([512, 512, 16, 3]))
+    layers += ["pool", (2, draw(st.sampled_from([(0,), (0,), (1,), ()])),
+                        2 * d, emb)]
+    if draw(st.booleans()):
+        layers.append((2, (0,), emb, draw(st.integers(1, 9))))
+    return layers
+
+
 class TestEmbeddingCommands:
     def test_extract_single_file(self, work, tmp_path, run_json):
         doc = run_json(["extract", "--audio", str(work / "mix.wav"),
@@ -534,6 +575,58 @@ class TestEmbeddingCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "CorruptArchive" in err and str(net) in err
+
+    def test_frame_layer_without_offsets_is_domain_error(self, work,
+                                                         tmp_path, capsys):
+        # a record of 0 offsets and a (8, 0) weight is self-consistent
+        net = tmp_path / "bad.xvnw"
+        write_layers(net, [(0, (), 30, 8), "pool", (2, (0,), 16, 512)])
+        code = run(["extract", "--audio", str(work / "mix.wav"),
+                    "--net", str(net), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: DimMismatch: " in err and "no context offset" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extract"], ["segment", "--strategy", "baseline"],
+    ])
+    def test_narrow_embedding_is_domain_error(self, work, tmp_path, capsys,
+                                              argv):
+        # the small net's layers with a 16-wide embedding
+        layers = [
+            (0, offsets, d_in, d_out)
+            for offsets, d_in, d_out in zip(
+                ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,)),
+                (30, 48, 48, 48, 48), (48, 48, 48, 48, 256))
+        ]
+        net = tmp_path / "narrow.xvnw"
+        write_layers(net, [*layers, "pool", (2, (0,), 512, 16),
+                           (2, (0,), 16, 512)])
+        code = run([*argv, "--audio", str(work / "mix.wav"),
+                    "--net", str(net), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: DimMismatch: " in err
+        assert "16 wide" in err and "512 wide" in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layers=layer_specs())
+    def test_well_formed_weight_file_exits_cleanly(self, work, tmp_path,
+                                                   capsys, layers):
+        # every record self-consistent, as a byte-flipped file almost never
+        # is: the net is used, or rejected with a named error
+        net = tmp_path / "net.xvnw"
+        write_layers(net, layers)
+        code = run(["extract", "--audio", str(work / "mix.wav"),
+                    "--net", str(net), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code == 1:
+            assert re.match(r"error: [A-Za-z]+: ", err), err
 
     def test_jobs_below_one_rejected(self, work, tmp_path, capsys):
         code = run(["segment", "--strategy", "baseline",

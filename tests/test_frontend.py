@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speechseg import frontend
+from speechseg import cpu, frontend
 from speechseg.baseline import energy_vad_frames
 from speechseg.errors import (
     AudioTooShort,
@@ -436,7 +436,7 @@ class TestBlocks:
         for block in (24, 48, 240, 264):
             monkeypatch.setattr(frontend, "MFCC_BLOCK_FRAMES", block)
             for workers in (1, 2, 3):
-                monkeypatch.setattr(frontend, "_cpus", lambda: workers)
+                monkeypatch.setattr(cpu, "count", lambda: workers)
                 blocked = compute_mfcc(audio)
                 assert blocked.rows.tobytes() == whole.rows.tobytes()
         assert apply_cmvn(whole).rows.tobytes() == whole_cmvn.rows.tobytes()
@@ -480,16 +480,6 @@ class TestBlocks:
         assert len(shapes) >= 2
         for m, n, k in shapes:
             assert 2 <= m and m * n * k <= 4 * 65536
-
-    @given(n=st.integers(1, 2000), step=st.integers(2, 300))
-    def test_spans_cover_without_single_rows(self, n, step):
-        spans = frontend._spans(n, step)
-        assert spans[0][0] == 0 and spans[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(a % step == 0 for a, _ in spans)
-        sizes = [b - a for a, b in spans]
-        assert all(size == step for size in sizes[:-1])
-        assert 1 < sizes[-1] <= step + 1 or n == 1
 
     def test_silence_reuses_window_moments_exactly(self, monkeypatch):
         # every window in the 5 s of digital silence is flagged; one whose
@@ -558,7 +548,7 @@ class TestBlocks:
         x = np.random.default_rng(6).standard_normal((1200, 2))
         x[400:800, 0], x[400:, 1] = 0.5, 1.0
         monkeypatch.setattr(frontend, "FRONTEND_BLOCK_FRAMES", block)
-        assert (650, 700) in frontend._spans(1200, block) or block > 1200
+        assert (650, 700) in cpu.spans(1200, block) or block > 1200
         recomputes = count_recomputes(monkeypatch)
         got = cmvn_bytes(x)
         # starts 400 (the run's head), then 500-899, one window each; the
@@ -591,7 +581,7 @@ class TestBlocks:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_does_not_grow_with_the_stream(self, monkeypatch,
                                                        workers):
-        monkeypatch.setattr(frontend, "_cpus", lambda: workers)
+        monkeypatch.setattr(cpu, "count", lambda: workers)
         peaks = []
         for seconds in (60.0, 300.0):
             audio = speech_tone_silence(seconds - 10.0, 5.0)

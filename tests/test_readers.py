@@ -48,7 +48,7 @@ def tiny_net():
 
     return XVectorNet((
         affine("frame", (-1, 0, 1), 2, 3), StatsPool(),
-        affine("segment", (0,), 6, 4),
+        affine("segment", (0,), 6, EMBEDDING_DIM),
     ))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speechseg import frontend, xvector
+from speechseg import cpu, xvector
 from speechseg.errors import (
     BadMagic,
     CorruptArchive,
@@ -245,6 +245,21 @@ class TestNetValidation:
         no_pool = tuple(l for l in net.layers if not isinstance(l, StatsPool))
         with pytest.raises(DimMismatch):
             XVectorNet(no_pool)
+
+    def test_frame_layer_without_offsets_rejected(self):
+        # a (d_out, 0) weight matches no offsets; the layer's span would
+        # be max(()) when the net folds its batch norm
+        net = tiny_net()
+        layer = net.layers[1]
+        bad = replace(layer, offsets=(), weight=layer.weight[:, :0])
+        with pytest.raises(DimMismatch, match="no context offset"):
+            XVectorNet((net.layers[0], bad) + net.layers[2:])
+
+    def test_embedding_other_than_512_rejected(self):
+        # RECORD holds EMBEDDING_DIM values, so a 16-wide embedding could
+        # not be extracted
+        with pytest.raises(DimMismatch, match="16 wide.* 512 wide"):
+            tiny_net(emb=16)
 
 
 def traced(fn, *args):
@@ -828,7 +843,7 @@ class TestStreams:
         got = {}
         with grid(0.3, 0.2, 0.1):
             for cpus in (1, 2, 3):
-                monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+                monkeypatch.setattr(cpu, "count", lambda: cpus)
                 got[cpus] = list(extract_streams(net, streams, keep))
         assert ranges == [[(0, 770), (860, 1650)],
                           [(0, 510), (500, 1110), (1100, 1650)]]
@@ -842,6 +857,30 @@ class TestStreams:
             shifted.window_end_s -= feats.start_time_s
             assert_matches_forward(net, feats, shifted)
 
+    def test_split_stream_within_one_ulp_of_one_tape(self, monkeypatch):
+        # a split tape slices the products that one tape runs whole, and
+        # the slices can move a float64 value's last bits: with OpenBLAS
+        # 0.3.31, window 142 (21.3 s) of this 2,922-row stream on the
+        # 0.3 s / 0.15 s grid differs from one tape's in one float32
+        # value, by one ulp, on two tapes and on three. So the records of
+        # a split stream depend on the CPU count, within one ulp
+        monkeypatch.setattr(xvector, "SPLIT_FRAMES", BLOCK_FRAMES)
+        net = make_test_net(preset="small")
+        rng = np.random.default_rng(51)
+        n = rng.integers(1000, 6000)
+        rng.integers(0, 2)
+        streams = [FeatureMatrix(rng.standard_normal((n, 30)), 0.01)]
+        got = {}
+        with grid(0.3, 0.15, 0.1):
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(cpu, "count", lambda: cpus)
+                (got[cpus],) = extract_streams(net, streams)
+        for cpus in (2, 3):
+            np.testing.assert_array_equal(got[cpus].window_start_s,
+                                          got[1].window_start_s)
+            np.testing.assert_array_max_ulp(got[cpus].values, got[1].values,
+                                            maxulp=1)
+
     def test_split_windows_longer_than_a_chunk(self, monkeypatch):
         # 12 s windows every 5 s hold 1,200 rows, so a split tape keeps a
         # window's rows across more than two chunks
@@ -851,7 +890,7 @@ class TestStreams:
         got = {}
         with grid(12.0, 5.0, 1.0):
             for cpus in (1, 2):
-                monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+                monkeypatch.setattr(cpu, "count", lambda: cpus)
                 got[cpus] = list(extract_streams(net, streams))
         assert len(got[1][0]) == 11
         assert_same_vectors(got[2], got[1])
@@ -877,7 +916,7 @@ class TestStreams:
         streams = [feats_of(25.0, seed=5)]
         got = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+            monkeypatch.setattr(cpu, "count", lambda: cpus)
             got[cpus] = list(extract_streams(net, streams))
         assert keys == {*range(len(net.frame_layers) + 1), "stacked",
                         "tail", "dev", "tap"}
@@ -886,7 +925,7 @@ class TestStreams:
     def test_split_tap_has_no_single_column(self, monkeypatch):
         # a last frame layer 56 wide gives the tap 112 inputs, so slices
         # of 73 columns would leave one of 512 over: a gemv. The spans of
-        # frontend._spans never do, and the split records are one tape's
+        # cpu.spans never do, and the split records are one tape's
         monkeypatch.setattr(xvector, "SPLIT_FRAMES", BLOCK_FRAMES)
         monkeypatch.setitem(xvector._PRESETS, "narrow", (48, 48, 48, 48, 56))
         net = make_test_net(preset="narrow")
@@ -894,12 +933,12 @@ class TestStreams:
         assert spans[0][0] == 0 and spans[-1][1] == weights.shape[1]
         assert all(b - a > 1 for a, b in spans)
         assert max(b - a for a, b in spans) * TAP_BATCH * 112 <= (
-            frontend._SERIAL_GEMM_MNK
+            cpu.SERIAL_GEMM_MNK
         )
         streams = [feats_of(25.0, seed=5)]
         got = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(frontend, "_cpus", lambda: cpus)
+            monkeypatch.setattr(cpu, "count", lambda: cpus)
             got[cpus] = list(extract_streams(net, streams))
         assert_same_vectors(got[2], got[1])
 
